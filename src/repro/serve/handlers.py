@@ -22,7 +22,8 @@ from repro.experiments.parallel import (CACHE_SCHEMA_VERSION, Cell,
                                         CellFailure, cell_key,
                                         resolve_engine)
 from repro.serve.http import HttpError
-from repro.sim.provenance import STATS_SCHEMA_VERSION, config_hash
+from repro.sim.provenance import (STATS_SCHEMA_VERSION, config_hash,
+                                   peak_rss_kb)
 
 #: Spec fields a client may send; everything else is a 400 (typos in a
 #: field name must not silently simulate the default instead).
@@ -186,5 +187,8 @@ async def healthz(app, request) -> tuple:
 
 async def metrics(app, request) -> tuple:
     app.refresh_gauges()
+    # The manifest was built at start-up; peak RSS is re-read per request
+    # so it tracks the server's high-water mark.
+    host = dict(app.manifest["host"], peak_rss_kb=peak_rss_kb())
     return 200, {"metrics": app.metrics.snapshot(),
-                 "manifest": app.manifest}, {}
+                 "manifest": dict(app.manifest, host=host)}, {}

@@ -14,12 +14,17 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.parallel import Cell, CellFailure, cell_key
 from repro.serve import serve_in_thread
 from repro.serve.handlers import build_envelope, parse_cell
@@ -190,6 +195,39 @@ class TestServePaths:
         hist = snap["histograms"]["request_us{endpoint=post_cells}"]
         assert hist["count"] == 1 and hist["p99"] > 0
         assert m["manifest"]["tool"] == "repro"
+
+    def test_metrics_peak_rss_is_read_per_request(self, tmp_path):
+        # ru_maxrss survives exec, so a child exec'd from this process
+        # starts at this process's high-water mark; the child forks once
+        # and the forked process, which starts its own, runs the server.
+        script = (
+            "import http.client, json, os, sys\n"
+            "if os.fork():\n"
+            "    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))\n"
+            "from repro.serve import serve_in_thread\n"
+            "h = serve_in_thread(jobs=1, cache_dir=sys.argv[1])\n"
+            "def peak():\n"
+            "    c = http.client.HTTPConnection(h.app.host, h.app.port,\n"
+            "                                   timeout=60)\n"
+            "    c.request('GET', '/metrics')\n"
+            "    m = json.loads(c.getresponse().read())\n"
+            "    c.close()\n"
+            "    return m['manifest']['host']['peak_rss_kb']\n"
+            "before = peak()\n"
+            "blob = b'x' * (64 << 20)\n"
+            "after = peak()\n"
+            "h.stop()\n"
+            "print(json.dumps([before, after]))\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "srv")],
+            env=env, capture_output=True, text=True, timeout=120,
+            check=True)
+        before, after = json.loads(out.stdout.splitlines()[-1])
+        if before == 0:
+            pytest.skip("peak RSS is not available on this platform")
+        assert after - before >= 48 * 1024
 
 
 class TestBackpressureAndCoalescing:
