@@ -9,9 +9,12 @@ the sha256 of
 * the per-request-class latency histograms (buckets and summaries);
 
 and, for one traced run per engine, the sha256 of the ``EventTracer``
-event stream and of each domain's canonical observable trace.  A cell
-that raises records ``"<ExceptionType>: <message>"`` instead, so a
-known failure is pinned as exactly as a result.
+event stream and of each domain's canonical observable trace.  The
+stock cells are too short to cross a churn boundary, so a second set
+(``churn``) reruns M-2 with every core freeing pages each
+:data:`CHURN_EVERY` accesses, untraced and traced.  A cell that raises
+records ``"<ExceptionType>: <message>"`` instead, so a known failure is
+pinned as exactly as a result.
 
 The fixture replaces lockstep comparisons between alternative
 implementations: any change to the simulator core or an engine's access
@@ -52,6 +55,9 @@ WARMUP = 100
 SEED = 3
 ENGINE_SEED = 11
 SCALE = 0.05
+#: Churn period of the ``churn`` cells (the stock mixes churn every
+#: 1800-6000 accesses, beyond the 400-access golden traces).
+CHURN_EVERY = 100
 
 
 def sha(obj) -> str:
@@ -61,14 +67,24 @@ def sha(obj) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def build(scheme: str, mix: str, policy: str, tracer=None, profiler=None):
+def build(scheme: str, mix: str, policy: str, tracer=None, profiler=None,
+          churn: bool = False):
     """The machine and workload of one golden cell."""
     cfg = tiny_config(n_cores=4)
     engine = resolve_engine(scheme)(cfg, seed=ENGINE_SEED)
     sim = Simulator(cfg, engine, seed=SEED, frame_policy=policy,
                     tracer=tracer, profiler=profiler)
     workload = build_mix(mix, n_accesses=N_ACCESSES, seed=SEED, scale=SCALE)
+    if churn:
+        for trace in workload.traces:
+            trace.churn_every = CHURN_EVERY
     return sim, workload
+
+
+def default_policy(scheme: str) -> str:
+    """Static partitioning on sequential placement, where its
+    partitions fit; every other engine on fragmented."""
+    return "sequential" if scheme == "static-partition" else "fragmented"
 
 
 def hist_state(sim) -> dict:
@@ -76,9 +92,11 @@ def hist_state(sim) -> dict:
             for name, h in sim._class_hist.items()}
 
 
-def cell_digests(scheme: str, mix: str, policy: str, profiler=None) -> dict:
+def cell_digests(scheme: str, mix: str, policy: str, profiler=None,
+                 churn: bool = False) -> dict:
     """Digests of one cell, or its exception as the golden value."""
-    sim, workload = build(scheme, mix, policy, profiler=profiler)
+    sim, workload = build(scheme, mix, policy, profiler=profiler,
+                          churn=churn)
     try:
         result = sim.run(workload, warmup=WARMUP)
     except Exception as exc:   # pinned as the cell's golden value
@@ -88,13 +106,13 @@ def cell_digests(scheme: str, mix: str, policy: str, profiler=None) -> dict:
             "hist": sha(hist_state(sim))}
 
 
-def traced_digests(scheme: str) -> dict:
+def traced_digests(scheme: str, mix: str = "S-1",
+                   churn: bool = False) -> dict:
     """Event-stream and per-domain observable digests of the engine's
-    traced run (S-1; static partitioning on sequential placement, where
-    its partitions fit, every other engine on fragmented)."""
-    policy = "sequential" if scheme == "static-partition" else "fragmented"
+    traced run."""
     tracer = EventTracer(limit=None)
-    sim, workload = build(scheme, "S-1", policy, tracer=tracer)
+    sim, workload = build(scheme, mix, default_policy(scheme),
+                          tracer=tracer, churn=churn)
     try:
         sim.run(workload, warmup=WARMUP)
     except Exception as exc:
@@ -118,6 +136,10 @@ def generate() -> dict:
         "cells": {cell_key(s, m, p): cell_digests(s, m, p)
                   for s in ENGINES for m in MIXES for p in POLICIES},
         "traced": {s: traced_digests(s) for s in ENGINES},
+        "churn": {s: {"cell": cell_digests(s, "M-2", default_policy(s),
+                                           churn=True),
+                      "traced": traced_digests(s, "M-2", churn=True)}
+                  for s in ENGINES},
     }
 
 
@@ -142,10 +164,20 @@ def test_traced_run_matches_golden(scheme):
     assert got == want
 
 
+@pytest.mark.parametrize("scheme", ENGINES)
+def test_churn_run_matches_golden(scheme):
+    want = golden()["churn"][scheme]
+    got = {"cell": cell_digests(scheme, "M-2", default_policy(scheme),
+                                churn=True),
+           "traced": traced_digests(scheme, "M-2", churn=True)}
+    assert got == want
+
+
 def test_fixture_covers_every_cell_and_engine():
     g = golden()
     assert sorted(g["cells"]) == sorted(cell_key(*c) for c in CELLS)
     assert sorted(g["traced"]) == sorted(ENGINES)
+    assert sorted(g["churn"]) == sorted(ENGINES)
     # The fixture must pin real results, not only failures.
     ok = [v for v in g["cells"].values() if "error" not in v]
     assert len(ok) >= len(CELLS) - 4
