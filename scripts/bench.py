@@ -13,13 +13,11 @@ full provenance manifest) to ``BENCH_runner.json``:
 Usage:
     python scripts/bench.py [--quick] [--jobs N] [--out BENCH_runner.json]
                             [--cache-dir DIR] [--check] [--floor CELLS/S]
-                            [--core {batched,scalar}]
 
 ``--check`` is the CI regression gate: it exits non-zero unless
 
 * serial cold throughput clears the cells/sec floor (``--floor``;
-  defaults per sweep size) -- the raw-interpreter-speed gate that the
-  batched core must keep clearing, and
+  defaults per sweep size) -- the raw-interpreter-speed gate, and
 * the warm pass beats the cold pass and stays under 1s/cell (the
   caching-layer gate).
 
@@ -41,7 +39,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.experiments.common import get_scale  # noqa: E402
 from repro.experiments.parallel import (CellFailure, ResultCache,  # noqa: E402
                                         execute, scale_cell)
-from repro.sim.batched import CORE_ENV, core_from_env  # noqa: E402
 from repro.sim.config import scaled_config  # noqa: E402
 from repro.sim.provenance import host_facts, run_manifest  # noqa: E402
 
@@ -56,7 +53,7 @@ QUICK_MIXES = ["S-1", "S-2"]
 #: Serial cold throughput floors (cells/sec) for ``--check``.  Set with
 #: ~40% headroom under the values measured on the slowest observed host
 #: (a 1-CPU container: ~0.5-0.6 cells/s full, ~2.7-3.0 cells/s quick
-#: with the batched core + fused metadata fast path) so CI noise does
+#: with the generator core and memoized verify walks) so CI noise does
 #: not flake the gate, while still sitting comfortably above the
 #: pre-optimization baseline (0.365 cells/s full).  The same container
 #: drifts 20-40% run to run (shared CPU), so the absolute floors are
@@ -79,10 +76,8 @@ def profile_attribution(sc, mixes) -> dict:
     per-phase self-time shares explaining *where* serial cold time goes
     (verify / mac / counter_probe / tree_update / mirage_hash / ...).
 
-    Profiled runs take the instrumented slow path by design (the fused
-    fast path disables itself under a profiler so phase attribution
-    stays complete), so the shares describe the model's work, not the
-    fast path's dispatch overhead.
+    Profiled runs execute the same code as unprofiled ones; the hooks
+    are guarded branches on the one simulator core and engine path.
     """
     from repro.experiments.parallel import resolve_engine
     from repro.sim.batched import make_simulator
@@ -99,7 +94,7 @@ def profile_attribution(sc, mixes) -> dict:
         workload = build_mix(mix, n_accesses=n_acc, seed=cell.seed)
         engine = resolve_engine(scheme)(cfg, seed=cell.engine_seed)
         prof = PhaseProfiler()
-        sim = make_simulator(core_from_env(), cfg, engine, seed=cell.seed,
+        sim = make_simulator(cfg, engine, seed=cell.seed,
                              frame_policy=cell.frame_policy, profiler=prof)
         sim.run(workload, warmup=warmup)
         rep = prof.report()
@@ -112,14 +107,13 @@ def history_record(payload: dict) -> dict:
     """Flatten one BENCH_runner payload into a perf-history record.
 
     The leading fields are the *comparability key*: two records measure
-    the same thing only when bench/quick/core/n_cells/n_accesses agree
+    the same thing only when bench/quick/n_cells/n_accesses agree
     (scripts/perf_check.py filters its baseline window by them).
     """
     man = payload.get("manifest", {})
     return {
         "bench": payload["bench"],
         "quick": payload["sweep"]["quick"],
-        "core": payload["core"],
         "n_cells": payload["sweep"]["n_cells"],
         "n_accesses": payload["sweep"]["n_accesses"],
         "cells_per_sec_serial": payload["cells_per_sec_serial"],
@@ -172,9 +166,6 @@ def main() -> int:
                     help="serial cold cells/sec floor for --check "
                          f"(default {DEFAULT_FLOOR['quick']} quick / "
                          f"{DEFAULT_FLOOR['full']} full)")
-    ap.add_argument("--core", choices=("batched", "scalar"), default=None,
-                    help="simulator core to benchmark (default: "
-                         f"${CORE_ENV} or 'batched')")
     ap.add_argument("--append-history", action="store_true",
                     help="append this run's record to the perf-history "
                          "series (see --history-file)")
@@ -183,10 +174,6 @@ def main() -> int:
                          f"{DEFAULT_HISTORY})")
     args = ap.parse_args()
 
-    if args.core is not None:
-        # Exported so the parallel phase's worker processes inherit it.
-        os.environ[CORE_ENV] = args.core
-    core = core_from_env()
     floor = args.floor if args.floor is not None else (
         DEFAULT_FLOOR["quick"] if args.quick else DEFAULT_FLOOR["full"])
 
@@ -197,7 +184,7 @@ def main() -> int:
 
     cpus = os.cpu_count() or 1
     print(f"{len(cells)} cells ({len(mixes)} mixes x {len(SCHEMES)} "
-          f"schemes), {sc.n_accesses} accesses/cell, core={core}, "
+          f"schemes), {sc.n_accesses} accesses/cell, "
           f"jobs={args.jobs}, host cpus={cpus}")
 
     serial, t_serial = timed(
@@ -246,7 +233,6 @@ def main() -> int:
         "sweep": {"schemes": SCHEMES, "mixes": mixes,
                   "n_cells": len(cells), "n_accesses": sc.n_accesses,
                   "warmup": sc.warmup, "quick": args.quick},
-        "core": core,
         "jobs": args.jobs,
         "seconds": {"serial_cold": round(t_serial, 3),
                     "parallel_cold": round(t_parallel, 3),

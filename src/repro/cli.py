@@ -45,12 +45,11 @@ def _cmd_run(args) -> int:
     import time
 
     from repro import ENGINES, build_mix, scaled_config
-    from repro.sim.batched import core_from_env, make_simulator
+    from repro.sim.batched import make_simulator
     from repro.sim.provenance import run_manifest
     cfg = scaled_config(n_cores=4)
     workload = build_mix(args.mix, n_accesses=args.accesses)
     schemes = [args.scheme] if args.scheme != "all" else list(ENGINES)
-    core = args.core or core_from_env()
     tracers = {}
     profilers = {}
     wall_ns = {}
@@ -68,7 +67,7 @@ def _cmd_run(args) -> int:
             profiler = PhaseProfiler()
             profilers[scheme] = profiler
         engine = ENGINES[scheme](cfg, seed=args.seed)
-        sim = make_simulator(core, cfg, engine, seed=args.seed,
+        sim = make_simulator(cfg, engine, seed=args.seed,
                              frame_policy=args.frames, tracer=tracer,
                              profiler=profiler)
         # The coverage self-check compares the profiler's attribution
@@ -96,7 +95,7 @@ def _cmd_run(args) -> int:
         from repro.sim.profiler import format_phase_table
         reports = [(scheme, prof.report(measured_ns=wall_ns[scheme]))
                    for scheme, prof in profilers.items()]
-        text, coverage_ok = format_phase_table(reports, core=core)
+        text, coverage_ok = format_phase_table(reports)
         print(text)
         if not coverage_ok:
             print("profile-phases: attributed time fell below the "
@@ -481,10 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "phases (verify, MAC, DRAM, ...) per scheme; "
                           "exits non-zero if the attribution covers "
                           "<90%% of measured run time")
-    run.add_argument("--core", default=None,
-                     choices=["batched", "scalar"],
-                     help="simulator core (default: $REPRO_CORE or "
-                          "'batched')")
     run.set_defaults(func=_cmd_run)
 
     srv = sub.add_parser(

@@ -251,17 +251,15 @@ def run_cell(cell: Cell):
     """
     from repro.core.domain import TreeLingStarvation
     from repro.osmodel.allocator import OutOfMemoryError
-    from repro.sim.batched import core_from_env, make_simulator
+    # Looked up at call time: a harness may replace the module attribute.
+    from repro.sim.batched import make_simulator
     from repro.workloads.mixes import build_mix
 
     cfg = cell.resolve_config()
     workload = build_mix(cell.mix, n_accesses=cell.n_accesses,
                          seed=cell.seed)
     engine = resolve_engine(cell.scheme)(cfg, seed=cell.engine_seed)
-    # The batched core is bit-identical to the scalar one (enforced by
-    # tests/test_batched.py), so the cache key does not include it;
-    # REPRO_CORE=scalar forces the reference core.
-    sim = make_simulator(core_from_env(), cfg, engine, seed=cell.seed,
+    sim = make_simulator(cfg, engine, seed=cell.seed,
                          frame_policy=cell.frame_policy)
     try:
         result = sim.run(workload, warmup=cell.warmup)

@@ -176,77 +176,37 @@ class Cache:
         else:
             self.fill(addr, locked=True)
 
-    # -- pre-bound fast paths -------------------------------------------------
-    #
-    # The engines' hot path probes the same cache objects on every
-    # LLC-missing access.  ``bind_fast_probe``/``bind_fast_fill`` return
-    # closures holding the set list, geometry and stat objects in cell
-    # variables, so one probe is a single dict round-trip with no
-    # attribute chain and no method dispatch.  The closures are only
-    # valid under the fast-path preconditions (tracer and profiler off);
-    # they are bit-identical to ``lookup``/``fill`` in every observable
-    # effect (LRU order, dirty bits, victims, stats).  Unknown subclasses
-    # get their own generic methods back, so semantics always come from
-    # the instance.
+    # -- known-absent fills ---------------------------------------------------
 
     def prime_candidates(self, addrs) -> None:
         """Hook for randomized caches: pre-compute hashed set candidates
         for a batch of addresses.  Direct-indexed caches need nothing."""
 
-    def bind_fast_probe(self):
-        """Return a ``probe(addr, is_write=False) -> bool`` closure
-        equivalent to ``lookup``.  Monomorphic for exact ``Cache``
-        instances; subclasses fall back to their own ``lookup``."""
-        if type(self) is not Cache:
-            return self.lookup
-        sets = self._sets
-        n_sets = self.n_sets
-        stats = self.stats
-        def probe(addr: int, is_write: bool = False) -> bool:
-            s = sets[addr % n_sets]
-            entry = s.get(addr)
-            if entry is None:
-                stats.misses += 1
-                return False
-            s.move_to_end(addr)
-            if is_write:
-                entry[0] = True
-            stats.hits += 1
-            return True
-        return probe
-
-    def bind_fast_fill(self):
-        """Return a ``fill_absent(addr, dirty=False) -> victim | None``
-        closure: ``fill`` specialised for an address the caller just
-        observed to be absent (so the presence probe is skipped and no
-        :class:`Eviction` is allocated).  Returns the *dirty* victim's
-        address, or None (clean evictions need no write-back).  Only
-        valid with the tracer off (no evict events are emitted)."""
-        if type(self) is not Cache:
-            return generic_fill_absent(self)
-        sets = self._sets
-        n_sets = self.n_sets
-        assoc = self.assoc
-        cache = self
-        def fill_absent(addr: int, dirty: bool = False):
-            s = sets[addr % n_sets]
-            wb = None
-            if len(s) >= assoc:
-                if cache._locked:
-                    victim = cache._pick_victim(s)
-                    if victim is None:
-                        return None  # fully locked set: drop the fill
-                    vdirty = s.pop(victim)[0]
-                else:
-                    victim, ventry = s.popitem(last=False)
-                    vdirty = ventry[0]
-                cache.evictions += 1
-                if vdirty:
-                    cache.writebacks += 1
-                    wb = victim
-            s[addr] = [dirty, False]
-            return wb
-        return fill_absent
+    def fill_absent(self, addr: int, dirty: bool = False) -> Optional[int]:
+        """``fill`` for an address the caller just saw miss: the presence
+        probe is skipped and no :class:`Eviction` is allocated.  Returns
+        the *dirty* victim's address, or None (a clean eviction needs no
+        write-back).  Emits the same ``evict`` event as ``fill``."""
+        s = self._sets[addr % self.n_sets]
+        wb = None
+        if len(s) >= self.assoc:
+            if self._locked:
+                victim = self._pick_victim(s)
+                if victim is None:
+                    return None  # fully locked set: drop the fill
+                vdirty = s.pop(victim)[0]
+            else:
+                victim, ventry = s.popitem(last=False)
+                vdirty = ventry[0]
+            self.evictions += 1
+            if vdirty:
+                self.writebacks += 1
+                wb = victim
+            if self.tracer.enabled:
+                self.tracer.instant("cache", "evict", cache=self.name,
+                                    addr=victim, dirty=vdirty)
+        s[addr] = [dirty, False]
+        return wb
 
     # -- introspection -------------------------------------------------------
 
@@ -273,16 +233,3 @@ class Cache:
             s.update(keep)
         return dirty
 
-
-def generic_fill_absent(cache: Cache):
-    """``fill_absent`` built on the instance's own generic ``fill``:
-    the fallback ``bind_fast_fill`` returns for subclasses the fast
-    closures do not know, so a custom replacement policy keeps its
-    semantics while callers see the uniform victim-or-None protocol."""
-    fill = cache.fill
-    def fill_absent(addr: int, dirty: bool = False):
-        ev = fill(addr, dirty=dirty)
-        if ev is not None and ev.dirty:
-            return ev.addr
-        return None
-    return fill_absent

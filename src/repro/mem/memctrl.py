@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.mem.dram import DRAM
-from repro.mem.spaces import DATA, SPACE_SHIFT
+from repro.mem.spaces import DATA, SPACE_SHIFT, space_of
 from repro.sim.config import DRAMConfig
 from repro.sim.hist import HistogramSet
 from repro.sim.profiler import NULL_PROFILER
@@ -52,8 +52,23 @@ class MemoryController:
         self._h_data = self.hists.get("read.data")
         self._h_meta = self.hists.get("read.metadata")
 
+    #: ``(tracer, profiler)`` of the engine DRAM path, each None while
+    #: disabled; None while both are (one check per request when off).
+    _hooks = None
+
     def set_tracer(self, tracer) -> None:
         self.dram.tracer = tracer
+        self._update_hooks()
+
+    def set_profiler(self, profiler) -> None:
+        self.profiler = profiler
+        self._update_hooks()
+
+    def _update_hooks(self) -> None:
+        tracer = self.dram.tracer if self.dram.tracer.enabled else None
+        prof = self.profiler if self.profiler.enabled else None
+        self._hooks = (None if tracer is None and prof is None
+                       else (tracer, prof))
 
     def register_stats(self, registry) -> None:
         """Register the traffic split and the DRAM device counters, plus
@@ -110,23 +125,23 @@ class MemoryController:
         if profiling:
             prof.pop()
 
-    # -- pre-bound engine fast path -------------------------------------------
+    # -- engine DRAM path ------------------------------------------------------
 
     def bind_engine_ops(self, estats):
-        """Fused (read_data, read_meta, write_data, write_meta) closures
-        for the engine fast path.
+        """The engine's (read_data, read_meta, write_data, write_meta).
 
         Each closure collapses the controller layer, the DRAM open-row
         timing model and the engine's own dram_* attribution counters
-        (``estats`` is the engine's :class:`EngineStats`) into one call
-        with no profiler checks and no tracer emission -- callers must
-        guarantee tracing and profiling are off.  The data/metadata
-        classification is static per closure, so the ``_METADATA_BASE``
-        compare disappears from the per-request path.  The arithmetic is
-        the same IEEE sequence as :meth:`DRAM.read`/:meth:`DRAM.write`,
-        and every counter/histogram update matches ``read``/``write`` +
-        the engine's ``_mread``/``_mwrite`` attribution bit for bit.
+        (``estats`` is the engine's :class:`EngineStats`) into one call.
+        The data/metadata classification is fixed per closure, so the
+        ``_METADATA_BASE`` compare disappears from the per-request path.
+        The arithmetic is the same IEEE sequence as
+        :meth:`DRAM.read`/:meth:`DRAM.write`, and each closure emits the
+        same ``dram`` event and ``dram`` profiler phase as
+        :meth:`read`/:meth:`write`; the hooks are looked up per call, so
+        ``set_tracer``/``set_profiler`` after construction take effect.
         """
+        mc = self
         dram = self.dram
         memo_get = dram._br_memo.get
         bank_and_row = dram.bank_and_row
@@ -138,83 +153,84 @@ class MemoryController:
         miss_lat = dram._miss_lat
         t_burst = dram._t_burst
         miss_occ = dram._miss_occupancy
-        rec_data = self._h_data.record
-        rec_meta = self._h_meta.record
 
-        def read_data(addr: int, now: float) -> float:
-            traffic.data_reads += 1
-            estats.dram_data_reads += 1
-            br = memo_get(addr)
-            bank, row = br if br is not None else bank_and_row(addr)
-            busy = busy_until[bank]
-            start = now if now >= busy else busy
-            if open_row[bank] == row:
-                latency = hit_lat
-                dstats.row_hits += 1
-                busy_until[bank] = start + t_burst
-            else:
-                latency = miss_lat
-                dstats.row_misses += 1
-                open_row[bank] = row
-                busy_until[bank] = start + miss_occ
-            total = start + latency - now
-            dstats.reads += 1
-            dstats.total_read_latency += total
-            rec_data(total)
-            return total
+        def make_read(meta: bool):
+            rec = (self._h_meta if meta else self._h_data).record
 
-        def read_meta(addr: int, now: float) -> float:
-            traffic.metadata_reads += 1
-            estats.dram_metadata_reads += 1
-            br = memo_get(addr)
-            bank, row = br if br is not None else bank_and_row(addr)
-            busy = busy_until[bank]
-            start = now if now >= busy else busy
-            if open_row[bank] == row:
-                latency = hit_lat
-                dstats.row_hits += 1
-                busy_until[bank] = start + t_burst
-            else:
-                latency = miss_lat
-                dstats.row_misses += 1
-                open_row[bank] = row
-                busy_until[bank] = start + miss_occ
-            total = start + latency - now
-            dstats.reads += 1
-            dstats.total_read_latency += total
-            rec_meta(total)
-            return total
+            def read(addr: int, now: float) -> float:
+                hooks = mc._hooks
+                if hooks is not None:
+                    tracer, prof = hooks
+                    if prof is not None:
+                        prof.push("dram")
+                if meta:
+                    traffic.metadata_reads += 1
+                    estats.dram_metadata_reads += 1
+                else:
+                    traffic.data_reads += 1
+                    estats.dram_data_reads += 1
+                br = memo_get(addr)
+                bank, row = br if br is not None else bank_and_row(addr)
+                busy = busy_until[bank]
+                start = now if now >= busy else busy
+                hit = open_row[bank] == row
+                if hit:
+                    latency = hit_lat
+                    dstats.row_hits += 1
+                    busy_until[bank] = start + t_burst
+                else:
+                    latency = miss_lat
+                    dstats.row_misses += 1
+                    open_row[bank] = row
+                    busy_until[bank] = start + miss_occ
+                total = start + latency - now
+                dstats.reads += 1
+                dstats.total_read_latency += total
+                rec(total)
+                if hooks is not None:
+                    if tracer is not None:
+                        tracer.complete(
+                            "dram", "read", ts=now, dur=total, bank=bank,
+                            row=row, row_hit=hit, space=space_of(addr))
+                    if prof is not None:
+                        prof.pop()
+                return total
+            return read
 
-        def write_data(addr: int, now: float) -> None:
-            traffic.data_writes += 1
-            estats.dram_data_writes += 1
-            br = memo_get(addr)
-            bank, row = br if br is not None else bank_and_row(addr)
-            busy = busy_until[bank]
-            start = now if now >= busy else busy
-            if open_row[bank] == row:
-                dstats.row_hits += 1
-                busy_until[bank] = start + t_burst
-            else:
-                dstats.row_misses += 1
-                open_row[bank] = row
-                busy_until[bank] = start + miss_occ
-            dstats.writes += 1
+        def make_write(meta: bool):
+            def write(addr: int, now: float) -> None:
+                hooks = mc._hooks
+                if hooks is not None:
+                    tracer, prof = hooks
+                    if prof is not None:
+                        prof.push("dram")
+                if meta:
+                    traffic.metadata_writes += 1
+                    estats.dram_metadata_writes += 1
+                else:
+                    traffic.data_writes += 1
+                    estats.dram_data_writes += 1
+                br = memo_get(addr)
+                bank, row = br if br is not None else bank_and_row(addr)
+                busy = busy_until[bank]
+                start = now if now >= busy else busy
+                hit = open_row[bank] == row
+                if hit:
+                    dstats.row_hits += 1
+                    busy_until[bank] = start + t_burst
+                else:
+                    dstats.row_misses += 1
+                    open_row[bank] = row
+                    busy_until[bank] = start + miss_occ
+                dstats.writes += 1
+                if hooks is not None:
+                    if tracer is not None:
+                        tracer.instant(
+                            "dram", "write", ts=now, bank=bank, row=row,
+                            row_hit=hit, space=space_of(addr))
+                    if prof is not None:
+                        prof.pop()
+            return write
 
-        def write_meta(addr: int, now: float) -> None:
-            traffic.metadata_writes += 1
-            estats.dram_metadata_writes += 1
-            br = memo_get(addr)
-            bank, row = br if br is not None else bank_and_row(addr)
-            busy = busy_until[bank]
-            start = now if now >= busy else busy
-            if open_row[bank] == row:
-                dstats.row_hits += 1
-                busy_until[bank] = start + t_burst
-            else:
-                dstats.row_misses += 1
-                open_row[bank] = row
-                busy_until[bank] = start + miss_occ
-            dstats.writes += 1
-
-        return read_data, read_meta, write_data, write_meta
+        return make_read(False), make_read(True), make_write(False), \
+            make_write(True)

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.mem.cache import Cache, Eviction, generic_fill_absent
+from repro.mem.cache import Cache, Eviction
 from repro.sim.config import CacheConfig
 
 
@@ -205,75 +205,48 @@ class MirageCache(Cache):
         self.stats.hits += 1
         return True
 
-    def bind_fast_probe(self):
-        """Monomorphic probe closure over the memoized skew candidates;
-        same contract as :meth:`repro.mem.cache.Cache.bind_fast_probe`."""
-        if type(self) is not MirageCache:
-            return self.lookup
+    def fill_absent(self, addr: int, dirty: bool = False) -> Optional[int]:
+        """Known-absent fill (power-of-two-choices placement, skew
+        counters, LRU victim) returning the dirty victim address or None;
+        same contract and events as :meth:`repro.mem.cache.Cache.fill_absent`
+        plus ``fill``'s ``place`` event."""
+        cand = self._cand.get(addr)
+        if cand is None:
+            cand = self._candidates(addr)
         sets = self._sets
-        cand_get = self._cand.get
-        candidates = self._candidates
-        stats = self.stats
-        def probe(addr: int, is_write: bool = False) -> bool:
-            cand = cand_get(addr)
-            if cand is None:
-                cand = candidates(addr)
-            s = sets[cand[0]]
-            entry = s.get(addr)
-            if entry is None:
-                s = sets[cand[1]]
-                entry = s.get(addr)
-                if entry is None:
-                    stats.misses += 1
-                    return False
-            if is_write:
-                entry[0] = True
-            s.move_to_end(addr)
-            stats.hits += 1
-            return True
-        return probe
-
-    def bind_fast_fill(self):
-        """Known-absent fill closure (power-of-two-choices placement,
-        skew counters, LRU victim) returning the dirty victim address or
-        None; same contract as ``Cache.bind_fast_fill``.  Only valid
-        with the tracer off (no place/evict events are emitted)."""
-        if type(self) is not MirageCache:
-            return generic_fill_absent(self)
-        sets = self._sets
-        cand_get = self._cand.get
-        candidates = self._candidates
-        cache = self
-        def fill_absent(addr: int, dirty: bool = False):
-            cand = cand_get(addr)
-            if cand is None:
-                cand = candidates(addr)
-            s0 = sets[cand[0]]
-            s1 = sets[cand[1]]
-            if len(s0) <= len(s1):
-                s = s0
-                cache.skew0_fills += 1
+        s0 = sets[cand[0]]
+        s1 = sets[cand[1]]
+        if len(s0) <= len(s1):
+            s = s0
+            skew = 0
+            self.skew0_fills += 1
+        else:
+            s = s1
+            skew = 1
+            self.skew1_fills += 1
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.instant("cache", "place", cache=self.name, addr=addr,
+                           skew=skew)
+        wb = None
+        if len(s) >= self.assoc:
+            if self._locked:
+                vaddr = next((a for a, e in s.items() if not e[1]), None)
+                if vaddr is None:
+                    return None
+                vdirty = s.pop(vaddr)[0]
             else:
-                s = s1
-                cache.skew1_fills += 1
-            wb = None
-            if len(s) >= cache.assoc:
-                if cache._locked:
-                    vaddr = next(
-                        (a for a, e in s.items() if not e[1]), None)
-                    if vaddr is None:
-                        return None
-                    vdirty = s.pop(vaddr)[0]
-                else:
-                    vaddr, ventry = s.popitem(last=False)
-                    vdirty = ventry[0]
-                cache.evictions += 1
-                if vdirty:
-                    cache.writebacks += 1
-                    wb = vaddr
-            s[addr] = [dirty, False]
-            return wb
-        return fill_absent
+                vaddr, ventry = s.popitem(last=False)
+                vdirty = ventry[0]
+            self.evictions += 1
+            if vdirty:
+                self.writebacks += 1
+                wb = vaddr
+            if tracer.enabled:
+                tracer.instant("cache", "evict", cache=self.name,
+                               addr=vaddr, dirty=vdirty)
+        s[addr] = [dirty, False]
+        return wb
 
     def register_stats(self, registry, name: str | None = None) -> None:
         """PR 1 missed the MIRAGE-specific counters: register the skew

@@ -340,6 +340,9 @@ class _AliasingCounterCache:
         return self._inner.fill(self._mask(addr), dirty=dirty,
                                 locked=locked)
 
+    def fill_absent(self, addr: int, dirty: bool = False):
+        return self._inner.fill_absent(self._mask(addr), dirty=dirty)
+
     def flush(self) -> int:
         return self._inner.flush()
 

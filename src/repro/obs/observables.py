@@ -25,8 +25,8 @@ stream into one canonical tuple sequence per IV domain:
 
 Determinism: the projection is a pure function of the event list, and
 the event list itself contains only simulated quantities, so two
-identical runs yield byte-identical canonical traces (asserted across
-the scalar and batched simulator cores in ``tests/test_observables.py``).
+identical runs yield byte-identical canonical traces (asserted against
+the golden digests in ``tests/test_observables.py``).
 """
 
 from __future__ import annotations

@@ -175,32 +175,17 @@ class SgxCounterTreeEngine(BaselineEngine):
                 prof.push("tree_update")
             # counter-tree write: the path's nodes are dirtied up to the
             # first cached level (they hold incremented counters now).
-            # ``touch_dirty`` is the single-probe fusion of the old
-            # ``contains`` + ``lookup(is_write=True)`` pair -- identical
-            # stats, LRU and dirty-bit effects, one dict probe per node
-            # instead of two.
-            for addr in self.geo.path_addrs(pfn):
-                if self.tree_cache.touch_dirty(addr):
+            # ``touch_dirty`` is the single-probe fusion of ``contains``
+            # + ``lookup(is_write=True)``.  The baseline walk above built
+            # the path memo entry even on a counter hit.
+            fill_at = now + lat
+            tree_cache = self.tree_cache
+            for addr in self._path_memo[pfn][1]:
+                if tree_cache.touch_dirty(addr):
                     break
-                self._fill(self.tree_cache, addr, now + lat, dirty=True)
+                wb = tree_cache.fill_absent(addr, True)
+                if wb is not None:
+                    self._write_meta(wb, fill_at)
             if profiling:
                 prof.pop()
-        return lat
-
-    def _verify_fast(self, domain: int, pfn: int, now: float,
-                     for_write: bool) -> float:
-        lat = super()._verify_fast(domain, pfn, now, for_write)
-        if for_write:
-            # The baseline fast path built the memo entry above even on
-            # a counter hit, so the dirty write walk reuses it.
-            fill_at = now + lat
-            touch = self.tree_cache.touch_dirty
-            tree_fill = self._tree_fill
-            write_meta = self._write_meta
-            for addr in self._path_memo[pfn][1]:
-                if touch(addr):
-                    break
-                wb = tree_fill(addr, True)
-                if wb is not None:
-                    write_meta(wb, fill_at)
         return lat

@@ -77,10 +77,12 @@ class SecureMemoryEngine(ABC):
         #: campaigns) can force or suppress overflows per engine.
         self.overflow_writes_per_page = OVERFLOW_WRITES_PER_PAGE
         #: Resolved verify-path memo (scheme-specific key; see the
-        #: ``_verify_fast`` implementations).  Every entry is a pure
+        #: ``_verify_path`` implementations).  Every entry is a pure
         #: function of its key, so no invalidation is ever needed.
         self._path_memo: dict = {}
-        self._bind_fast()
+        # The only engine DRAM path (see MemoryController.bind_engine_ops).
+        (self._read_data, self._read_meta, self._write_data,
+         self._write_meta) = self.mc.bind_engine_ops(self.stats)
 
     # -- hooks for subclasses ------------------------------------------------------
 
@@ -92,65 +94,6 @@ class SecureMemoryEngine(ABC):
     def _verify_path(self, domain: int, pfn: int, now: float,
                      for_write: bool) -> float:
         """Fetch + verify the counter block of ``pfn``; returns latency."""
-
-    # -- pre-bound fast path -------------------------------------------------------
-    #
-    # Every LLC-missing access funnels through ``data_access`` /
-    # ``handle_writeback``; the instrumented bodies pay tracer guards,
-    # profiler guards and three layers of method dispatch per metadata
-    # probe.  The fast path pre-binds monomorphic cache-probe/fill
-    # closures and fused controller+DRAM read/write closures at
-    # construction, and each scheme's ``_verify_fast`` memoizes the
-    # address resolution of its verify walk.  The gate below falls back
-    # to the exact instrumented code whenever tracing or profiling is on
-    # (the differential oracle always installs a tracer, so its
-    # instance-level ``_verify_path`` fault patches are honored -- and
-    # the gate additionally rejects any instance-level ``_verify_path``
-    # override outright).  Both paths are bit-identical in every
-    # observable: stats, histogram buckets, cache state, DRAM timing.
-
-    #: Master switch; instance- or class-assignable so tests and
-    #: ablations can force the instrumented path.
-    use_fast_path = True
-
-    #: Helpers the fast path inlines; a subclass overriding any of them
-    #: changes semantics the fused closures would bypass, so such an
-    #: engine permanently keeps the instrumented path.
-    _FUSED_HELPERS = ("_mac_access", "_mread", "_mwrite", "_fill")
-
-    def _bind_fast(self) -> None:
-        (self._read_data, self._read_meta, self._write_data,
-         self._write_meta) = self.mc.bind_engine_ops(self.stats)
-        self._mac_probe = self.mac_cache.bind_fast_probe()
-        self._mac_fill = self.mac_cache.bind_fast_fill()
-        self._ctr_probe = self.counter_cache.bind_fast_probe()
-        self._ctr_fill = self.counter_cache.bind_fast_fill()
-        self._tree_probe = self.tree_cache.bind_fast_probe()
-        self._tree_fill = self.tree_cache.bind_fast_fill()
-        self._fast_ok = self._fast_dispatch_safe()
-
-    def _fast_dispatch_safe(self) -> bool:
-        """Correct-by-construction eligibility: the class providing
-        ``_verify_fast`` must be the class providing ``_verify_path`` or
-        a subclass of it, so an engine that overrides the instrumented
-        walk without supplying the matching fast walk never takes the
-        fast path (it would silently use the parent's semantics)."""
-        mro = type(self).__mro__
-
-        def definer(name):
-            for cls in mro:
-                if name in cls.__dict__:
-                    return cls
-            return None
-
-        if any(definer(n) is not SecureMemoryEngine
-               for n in self._FUSED_HELPERS):
-            return False
-        vfast = definer("_verify_fast")
-        if vfast is None:
-            return False
-        vpath = definer("_verify_path")
-        return vpath is not None and issubclass(vfast, vpath)
 
     # -- statistics registration ---------------------------------------------------
 
@@ -215,24 +158,15 @@ class SecureMemoryEngine(ABC):
     # -- shared low-level helpers ----------------------------------------------------
 
     def _mread(self, addr: int, now: float) -> float:
-        lat = self.mc.read(addr, now)
         if addr >= _METADATA_BASE:
-            self.stats.dram_metadata_reads += 1
-        else:
-            self.stats.dram_data_reads += 1
-        return lat
+            return self._read_meta(addr, now)
+        return self._read_data(addr, now)
 
     def _mwrite(self, addr: int, now: float) -> None:
-        self.mc.write(addr, now)
         if addr >= _METADATA_BASE:
-            self.stats.dram_metadata_writes += 1
+            self._write_meta(addr, now)
         else:
-            self.stats.dram_data_writes += 1
-
-    def _fill(self, cache, addr: int, now: float, dirty: bool = False) -> None:
-        ev = cache.fill(addr, dirty=dirty)
-        if ev is not None and ev.dirty:
-            self._mwrite(ev.addr, now)
+            self._write_data(addr, now)
 
     def _record_path(self, domain: int, visited: int) -> None:
         self.stats.verifications += 1
@@ -254,7 +188,7 @@ class SecureMemoryEngine(ABC):
         (the DRAM controller's "dram" phase, the metadata caches'
         "mirage_hash" phase when they are randomized)."""
         self.profiler = profiler
-        self.mc.profiler = profiler
+        self.mc.set_profiler(profiler)
         for cache in (self.counter_cache, self.mac_cache, self.tree_cache):
             cache.profiler = profiler
 
@@ -266,34 +200,26 @@ class SecureMemoryEngine(ABC):
         block = pfn * BLOCKS_PER_PAGE + block_in_page
         return spaces.tag(spaces.MAC, block // 8)
 
-    # -- MAC path (identical across schemes) --------------------------------------------
-
-    def _mac_access(self, pfn: int, block_in_page: int, now: float,
-                    dirty: bool) -> float:
-        # Inlined mac_addr: one MAC block covers 8 data blocks.
-        addr = self._mac_base | ((pfn * BLOCKS_PER_PAGE + block_in_page) >> 3)
-        if self.mac_cache.lookup(addr, is_write=dirty):
-            self.stats.mac_hits += 1
-            if self.tracer.enabled:
-                self.tracer.instant("mac", "hit", ts=now, addr=addr)
-            return self._mac_hit_lat
-        self.stats.mac_misses += 1
-        if self.tracer.enabled:
-            self.tracer.instant("mac", "miss", ts=now, addr=addr)
-        lat = self._mread(addr, now)
-        self._fill(self.mac_cache, addr, now, dirty=dirty)
-        return lat
-
     # -- main entry points ------------------------------------------------------------
+    #
+    # Every LLC-missing access funnels through ``data_access`` /
+    # ``handle_writeback``.  Tracer and profiler hooks sit behind local
+    # ``if tracing:`` / ``if profiling:`` guards; metadata caches are
+    # looked up on the instance per call, so a cache swapped in after
+    # construction (the leakage checker's mutations) takes effect, and
+    # so does an instance-level ``_verify_path`` (the oracle's faults).
 
     def data_access(self, domain: int, pfn: int, block_in_page: int,
                     is_write: bool, now: float) -> float:
         """LLC-missing access: fetch data + metadata; returns latency."""
-        if (self.tracer.enabled or self.profiler.enabled
-                or not self.use_fast_path or not self._fast_ok
-                or "_verify_path" in self.__dict__):
-            return self._data_access_slow(domain, pfn, block_in_page,
-                                          is_write, now)
+        tracer = self.tracer
+        tracing = tracer.enabled
+        if tracing:
+            # Engine entry point: everything emitted below (counter /
+            # tree / MAC / DRAM events) belongs to this domain.
+            tracer.cur_domain = domain
+            tracer.begin("engine", "data_access", ts=now,
+                         domain=domain, pfn=pfn, write=is_write)
         stats = self.stats
         if is_write:
             stats.data_writes += 1
@@ -301,49 +227,29 @@ class SecureMemoryEngine(ABC):
             stats.data_reads += 1
         block = pfn * BLOCKS_PER_PAGE + block_in_page
         lat_data = self._read_data(block, now)  # DATA tag is 0
-        # Fused MAC probe: one closure call, stats inline.
-        mac_addr = self._mac_base | (block >> 3)
-        if self._mac_probe(mac_addr, is_write):
-            stats.mac_hits += 1
-            lat_mac = self._mac_hit_lat
-        else:
-            stats.mac_misses += 1
-            lat_mac = self._read_meta(mac_addr, now)
-            wb = self._mac_fill(mac_addr, is_write)
-            if wb is not None:
-                self._write_meta(wb, now)
-        lat_meta = self._verify_fast(domain, pfn, now, is_write) \
-            + self._aes_lat
-        lat = max(lat_data, lat_mac, lat_meta)
-        self._h_verify.record(lat_meta)
-        self._h_access.record(lat)
-        return lat
-
-    def _data_access_slow(self, domain: int, pfn: int, block_in_page: int,
-                          is_write: bool, now: float) -> float:
-        """The instrumented reference path (tracing/profiling hooks)."""
-        tracing = self.tracer.enabled
-        if tracing:
-            # Engine entry point: everything emitted below (counter /
-            # tree / MAC / DRAM events) belongs to this domain.
-            self.tracer.cur_domain = domain
-            self.tracer.begin("engine", "data_access", ts=now,
-                              domain=domain, pfn=pfn, write=is_write)
-        if is_write:
-            self.stats.data_writes += 1
-        else:
-            self.stats.data_reads += 1
-        # data_addr is the identity tagging (DATA space is 0).
-        lat_data = self._mread(pfn * BLOCKS_PER_PAGE + block_in_page, now)
         prof = self.profiler
         profiling = prof.enabled
         if profiling:
             prof.push("mac")
-        lat_mac = self._mac_access(pfn, block_in_page, now, dirty=is_write)
+        # One MAC block covers 8 data blocks.
+        mac_addr = self._mac_base | (block >> 3)
+        if self.mac_cache.lookup(mac_addr, is_write):
+            stats.mac_hits += 1
+            if tracing:
+                tracer.instant("mac", "hit", ts=now, addr=mac_addr)
+            lat_mac = self._mac_hit_lat
+        else:
+            stats.mac_misses += 1
+            if tracing:
+                tracer.instant("mac", "miss", ts=now, addr=mac_addr)
+            lat_mac = self._read_meta(mac_addr, now)
+            wb = self.mac_cache.fill_absent(mac_addr, is_write)
+            if wb is not None:
+                self._write_meta(wb, now)
         if profiling:
             prof.pop()
             prof.push("verify")
-        lat_meta = self._verify_path(domain, pfn, now, for_write=is_write)
+        lat_meta = self._verify_path(domain, pfn, now, is_write)
         if profiling:
             prof.pop()
         # Decryption needs the verified counter; OTP generation overlaps
@@ -353,56 +259,45 @@ class SecureMemoryEngine(ABC):
         self._h_verify.record(lat_meta)
         self._h_access.record(lat)
         if tracing:
-            self.tracer.end("engine", "data_access", ts=now + lat)
+            tracer.end("engine", "data_access", ts=now + lat)
         return lat
 
     def handle_writeback(self, domain: int, pfn: int, block_in_page: int,
                          now: float) -> None:
         """Dirty LLC eviction: counter bump, MAC refresh, posted write."""
-        if (self.tracer.enabled or self.profiler.enabled
-                or not self.use_fast_path or not self._fast_ok
-                or "_verify_path" in self.__dict__):
-            return self._handle_writeback_slow(domain, pfn, block_in_page,
-                                               now)
         stats = self.stats
         stats.writebacks_absorbed += 1
-        self._verify_fast(domain, pfn, now, True)
-        block = pfn * BLOCKS_PER_PAGE + block_in_page
-        mac_addr = self._mac_base | (block >> 3)
-        if self._mac_probe(mac_addr, True):
-            stats.mac_hits += 1
-        else:
-            stats.mac_misses += 1
-            self._read_meta(mac_addr, now)
-            wb = self._mac_fill(mac_addr, True)
-            if wb is not None:
-                self._write_meta(wb, now)
-        self._write_data(block, now)
-        writes = self._page_writes.get(pfn, 0) + 1
-        if writes >= self.overflow_writes_per_page:
-            writes = 0
-            self._reencrypt_page(domain, pfn, now)
-        self._page_writes[pfn] = writes
-
-    def _handle_writeback_slow(self, domain: int, pfn: int,
-                               block_in_page: int, now: float) -> None:
-        self.stats.writebacks_absorbed += 1
-        if self.tracer.enabled:
-            self.tracer.cur_domain = domain
-            self.tracer.instant("engine", "writeback", ts=now,
-                                domain=domain, pfn=pfn)
+        tracer = self.tracer
+        tracing = tracer.enabled
+        if tracing:
+            tracer.cur_domain = domain
+            tracer.instant("engine", "writeback", ts=now,
+                           domain=domain, pfn=pfn)
         prof = self.profiler
         profiling = prof.enabled
         if profiling:
             prof.push("verify")
-        self._verify_path(domain, pfn, now, for_write=True)
+        self._verify_path(domain, pfn, now, True)
         if profiling:
             prof.pop()
             prof.push("mac")
-        self._mac_access(pfn, block_in_page, now, dirty=True)
+        block = pfn * BLOCKS_PER_PAGE + block_in_page
+        mac_addr = self._mac_base | (block >> 3)
+        if self.mac_cache.lookup(mac_addr, True):
+            stats.mac_hits += 1
+            if tracing:
+                tracer.instant("mac", "hit", ts=now, addr=mac_addr)
+        else:
+            stats.mac_misses += 1
+            if tracing:
+                tracer.instant("mac", "miss", ts=now, addr=mac_addr)
+            self._read_meta(mac_addr, now)
+            wb = self.mac_cache.fill_absent(mac_addr, True)
+            if wb is not None:
+                self._write_meta(wb, now)
         if profiling:
             prof.pop()
-        self._mwrite(self.data_addr(pfn, block_in_page), now)
+        self._write_data(block, now)
         writes = self._page_writes.get(pfn, 0) + 1
         if writes >= self.overflow_writes_per_page:
             writes = 0
@@ -482,50 +377,11 @@ class BaselineEngine(SecureMemoryEngine):
 
     def _verify_path(self, domain: int, pfn: int, now: float,
                      for_write: bool) -> float:
-        tracing = self.tracer.enabled
-        ctr_addr = self.geo.counter_addr(pfn)
-        prof = self.profiler
-        profiling = prof.enabled
-        if profiling:
-            prof.push("counter_probe")
-        ctr_hit = self.counter_cache.lookup(ctr_addr, is_write=for_write)
-        if profiling:
-            prof.pop()
-        if ctr_hit:
-            self.stats.counter_hits += 1
-            if tracing:
-                self.tracer.instant("tree", "counter_hit", ts=now, pfn=pfn)
-            return self._ctr_hit_lat
-        self.stats.counter_misses += 1
-        if tracing:
-            self.tracer.instant("tree", "counter_miss", ts=now, pfn=pfn)
-        clock = now
-        clock += self._mread(ctr_addr, clock)
-        visited = 1  # the trusted terminator (cached node or root)
-        # path_addrs excludes the on-chip root, so every address here is
-        # a real candidate fetch.
-        tree_cache = self.tree_cache
-        for level, addr in enumerate(self.geo.path_addrs(pfn), start=1):
-            if tree_cache.lookup(addr, is_write=for_write):
-                break  # verified against an on-chip (trusted) copy
-            visited += 1
-            self.stats.tree_node_dram_reads += 1
-            if tracing:
-                self.tracer.instant("tree", "node", ts=clock,
-                                    level=level, addr=addr)
-            clock += self._mread(addr, clock) + self._hash_lat
-            self._fill(tree_cache, addr, clock, dirty=for_write)
-        self._record_path(domain, visited)
-        self._fill(self.counter_cache, ctr_addr, clock, dirty=for_write)
-        return clock - now
-
-    def _verify_fast(self, domain: int, pfn: int, now: float,
-                     for_write: bool) -> float:
-        """Bit-identical fast form of :meth:`_verify_path` (tracer and
-        profiler off).  The counter address and the tree-path address
-        list are pure functions of the PFN for every static geometry
-        (Baseline, VAULT), so they are memoized per PFN; cache residency
-        is re-probed on every call, which is why the memo never needs
+        """Counter fetch, then the leaf-to-trusted-node walk.  The
+        counter address and the tree-path address list are pure
+        functions of the PFN for every static geometry (Baseline,
+        VAULT), so they are memoized per PFN; cache residency is
+        re-probed on every call, which is why the memo never needs
         invalidating.  Built unconditionally (even on a counter hit) so
         subclass write paths (SGX counter tree) can reuse the entry."""
         rec = self._path_memo.get(pfn)
@@ -536,28 +392,45 @@ class BaselineEngine(SecureMemoryEngine):
                                           paddrs)
         ctr_addr = rec[0]
         stats = self.stats
-        if self._ctr_probe(ctr_addr, for_write):
+        tracer = self.tracer
+        tracing = tracer.enabled
+        prof = self.profiler
+        profiling = prof.enabled
+        if profiling:
+            prof.push("counter_probe")
+        ctr_hit = self.counter_cache.lookup(ctr_addr, for_write)
+        if profiling:
+            prof.pop()
+        if ctr_hit:
             stats.counter_hits += 1
+            if tracing:
+                tracer.instant("tree", "counter_hit", ts=now, pfn=pfn)
             return self._ctr_hit_lat
         stats.counter_misses += 1
+        if tracing:
+            tracer.instant("tree", "counter_miss", ts=now, pfn=pfn)
         read_meta = self._read_meta
+        write_meta = self._write_meta
         clock = now + read_meta(ctr_addr, now)
         visited = 1  # the trusted terminator (cached node or root)
-        tree_probe = self._tree_probe
-        tree_fill = self._tree_fill
-        write_meta = self._write_meta
+        # path_addrs excludes the on-chip root, so every address here is
+        # a real candidate fetch.
+        tree_cache = self.tree_cache
         hash_lat = self._hash_lat
         for addr in rec[1]:
-            if tree_probe(addr, for_write):
-                break
+            if tree_cache.lookup(addr, for_write):
+                break  # verified against an on-chip (trusted) copy
             visited += 1
             stats.tree_node_dram_reads += 1
+            if tracing:
+                tracer.instant("tree", "node", ts=clock,
+                               level=visited - 1, addr=addr)
             clock += read_meta(addr, clock) + hash_lat
-            wb = tree_fill(addr, for_write)
+            wb = tree_cache.fill_absent(addr, for_write)
             if wb is not None:
                 write_meta(wb, clock)
         self._record_path(domain, visited)
-        wb = self._ctr_fill(ctr_addr, for_write)
+        wb = self.counter_cache.fill_absent(ctr_addr, for_write)
         if wb is not None:
             write_meta(wb, clock)
         return clock - now

@@ -1,410 +1,20 @@
-"""Batched array-oriented simulator core.
+"""Simulator construction hook.
 
-:class:`BatchedSimulator` is a drop-in replacement for
-:class:`repro.sim.simulator.Simulator` that restructures the hot loop.
-The scalar core pays a heap pop, a ``_step`` call and a few dozen
-attribute loads per access.  Here each core's step loop becomes a
-long-lived *generator* whose locals hold every hot structure (TLB set
-list, L1/L2 set lists, bound LLC methods, stat objects, pre-scaled gap
-arrays), and the min-clock scheduler merely ``send``s the next heap
-threshold into the generator of the minimum-clock core.  The generator
-processes accesses inline until it is no longer the global minimum,
-then yields its clock back.  Per-trace request fields (page slot,
-block, write flag, gap cycles) are converted to plain Python lists up
-front with numpy, so the inner loop does list indexing instead of
-per-access ndarray scalar extraction.
-
-Bit-identity contract
----------------------
-
-The batched core must produce *bit-identical* results to the scalar
-core: equal ``RunResult.to_dict()``, equal registry snapshots and equal
-histogram buckets, for every engine.  Three mechanisms guarantee it:
-
-* **Exact heap-order equivalence.**  The scalar ``_drain`` pops the
-  ``(clock, core)`` tuple-minimum per access.  A woken generator keeps
-  running exactly while ``(clock, ci) < (next_clock, next_ci)``; the
-  comparison reproduces the heap's tie-break (lower core index first),
-  so the interleaving of accesses across cores is identical, access by
-  access.
-* **Scalar fallback before any mutation.**  The flattened step handles
-  the mapped-page cases inline: TLB hits directly, page faults and TLB
-  walks through the *same* helpers the scalar step delegates to
-  (``_alloc_page``, ``_page_walk``), in the same op order.  The
-  remaining rare paths (churn, tracing, and -- so phase attribution
-  stays intact -- any profiled run's faults and walks) fall back to the
-  inherited scalar ``Simulator._step``, and the fast path probes for
-  them *without side effects* first, so the scalar step replays the
-  access from an untouched state.
-* **Exact arithmetic preservation.**  Clock updates use the same
-  operand values in the same order as the scalar core (pre-scaled gap
-  cycles are computed with the same int->float64 multiply), and
-  deferred counter flushes only batch commutative integer adds and
-  integer-valued float sums (``LatencyHistogram.record_many``), which
-  are exact -- hence order-independent -- in IEEE double precision.
-  Variable (possibly fractional) latencies are recorded immediately, in
-  order.
-
-Anything the guarantees cannot cover (a subclassed L1/L2 cache or TLB
-with different semantics, an installed tracer) routes the entire drain
-through the scalar core.
+``make_simulator`` is looked up as a module attribute at call time by
+:func:`repro.experiments.parallel.run_cell` (and the CLI), so a harness
+can wrap machine construction for the length of a call by replacing
+this attribute -- the benchmark harness times set-up apart from
+simulation this way.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
-
-import numpy as np
-
-from repro.mem.cache import Cache
-from repro.osmodel.tlb import TLB
-from repro.sim.config import BLOCKS_PER_PAGE
-from repro.sim.simulator import Simulator, _CoreState
-
-#: Environment override for the default core selection used by the
-#: experiment runner: "batched" (default) or "scalar".
-CORE_ENV = "REPRO_CORE"
-
-_VALID_CORES = ("batched", "scalar")
+from repro.sim.simulator import Simulator
 
 
-def core_from_env(default: str = "batched") -> str:
-    """Resolve the simulator core choice from ``REPRO_CORE``."""
-    core = os.environ.get(CORE_ENV, "") or default
-    if core not in _VALID_CORES:
-        raise ValueError(
-            f"{CORE_ENV}={core!r}: expected one of {_VALID_CORES}")
-    return core
-
-
-def make_simulator(core: str, config, engine, seed: int = 123,
+def make_simulator(config, engine, seed: int = 123,
                    frame_policy: str = "sequential", tracer=None,
-                   profiler=None):
-    """Build the requested simulator core ("batched" or "scalar")."""
-    if core not in _VALID_CORES:
-        raise ValueError(f"unknown core {core!r}: expected {_VALID_CORES}")
-    cls = BatchedSimulator if core == "batched" else Simulator
-    return cls(config, engine, seed=seed, frame_policy=frame_policy,
-               tracer=tracer, profiler=profiler)
-
-
-class BatchedSimulator(Simulator):
-    """Array-oriented core; see the module docstring for the contract."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: Per-trace plain-array views, keyed by trace identity (the
-        #: same trace object is drained twice: warmup + measurement).
-        self._trace_arrays: dict[int, tuple] = {}
-
-    # -- trace preparation ---------------------------------------------------
-
-    def _arrays_for(self, trace) -> tuple:
-        arrs = self._trace_arrays.get(id(trace))
-        if arrs is None:
-            gap = np.asarray(trace.gap)
-            # Same IEEE op as the scalar core's ``int(gap) * base_cpi``:
-            # int64 -> float64 conversion is exact for these magnitudes,
-            # and the multiply is one float64 product either way.
-            gap_cycles = gap.astype(np.float64) * self.config.core.base_cpi
-            arrs = self._trace_arrays[id(trace)] = (
-                gap.tolist(),
-                gap_cycles.tolist(),
-                np.asarray(trace.vpage).tolist(),
-                np.asarray(trace.block).tolist(),
-                np.asarray(trace.is_write).astype(bool).tolist(),
-            )
-        return arrs
-
-    # -- main loop -----------------------------------------------------------
-
-    def _inline_safe(self) -> bool:
-        """The flattened step replicates plain-Cache and plain-TLB
-        semantics; any subclass with different behaviour (other than the
-        LLC, which is only driven through its public methods) routes the
-        whole drain through the scalar core."""
-        if type(self.tlb) is not TLB:
-            return False
-        hier = self.hierarchy
-        return (all(type(c) is Cache for c in hier.l1)
-                and all(type(c) is Cache for c in hier.l2))
-
-    def _core_gen(self, ci: int, st: _CoreState, limit: int):
-        """Step loop of one core as a generator.
-
-        Yields the core's clock whenever another core becomes the
-        global minimum; receives the new ``(clock, core)`` threshold to
-        run against.  Returns (StopIteration) once ``limit`` accesses
-        are done, flushing the deferred counters first.
-        """
-        cfg = self.config
-        tlb = self.tlb
-        tlb_sets = tlb._sets
-        tlb_nsets = tlb.n_sets
-        hier = self.hierarchy
-        llc = hier.llc
-        # Monomorphic pre-bound probes/fills (bit-identical to the
-        # generic methods; see mem/cache.py).  The tracer is off in this
-        # drain (tracing routes through the scalar core), which is the
-        # only precondition the fast closures need.  ``fill_absent`` is
-        # only used where the preceding probe just observed a miss;
-        # dirty-victim re-inserts keep the generic ``fill`` because the
-        # victim may already be present downstream.
-        llc_lookup = llc.bind_fast_probe()
-        llc_fill = llc.fill
-        llc_fill_absent = llc.bind_fast_fill()
-        engine_access = self.engine.data_access
-        handle_wb = self._handle_writebacks
-        step = self._step
-        # Page-fault and TLB-walk handling inline (the helpers the scalar
-        # ``_step`` delegates to, minus its re-extraction preamble).  The
-        # profiled run keeps the scalar fallback so the "page_fault" /
-        # "tlb_walk" phase attribution stays intact.
-        profiling = self.profiler.enabled
-        alloc_page = self._alloc_page
-        page_walk = self._page_walk
-        h_fault_rec = self._h_fault.record
-        h_walk_rec = self._h_walk.record
-        tlb_insert = tlb.insert
-        tlb_stats = tlb.stats
-        page_table = st.page_table
-
-        l1f = float(cfg.core.l1.hit_latency)
-        l2f = float(cfg.core.l2.hit_latency)
-        llcf = float(cfg.llc.hit_latency)
-        mlp = cfg.core.mlp
-        # CoreModel.access_cycles of the three constant hit latencies.
-        l1_cost = l1f if l1f <= l1f else l1f + (l1f - l1f) / mlp
-        l2_cost = l2f if l2f <= l1f else l1f + (l2f - l1f) / mlp
-        llc_cost = llcf if llcf <= l1f else l1f + (llcf - l1f) / mlp
-
-        h_mem = self._class_hist["mem"]
-
-        t = st.trace
-        gaps, gapc, vpages, blocks, writes = self._arrays_for(t)
-        churn_every = t.churn_every
-        live = st.live
-        live_list = st.live_list
-        stats = st.stats
-        domain = st.domain
-        vpn_base = st.vpn_base
-        asid_mix = domain * 0x9E37
-        l1 = hier.l1[ci]
-        l2 = hier.l2[ci]
-        l1_sets = l1._sets
-        l2_sets = l2._sets
-        l1_nsets = l1.n_sets
-        l2_nsets = l2.n_sets
-        l2_fill = l2.fill
-        l1_fill_absent = l1.bind_fast_fill()
-        l2_fill_absent = l2.bind_fast_fill()
-
-        clock = st.clock
-        pos = st.pos
-        # Deferred commutative counters, flushed on exhaustion (integer
-        # adds and integer-valued hist samples only -- see the module
-        # docstring).
-        n_tlb = n_l1h = n_l1m = n_l2h = n_l2m = 0
-        n_hl1 = n_hl2 = n_hllc = n_miss = 0
-        n_acc = n_instr = 0
-
-        # Prime: wait for the first scheduling threshold.
-        nxt = yield
-        if nxt is None:
-            nxt0 = None
-        else:
-            nxt0, nxt1 = nxt
-
-        while pos < limit:
-            i = pos
-            fast = True
-            if (churn_every and i and i % churn_every == 0
-                    and len(live_list) > 16):
-                fast = False              # churn path (rare): scalar step
-            else:
-                slot = vpages[i]
-                pfn = live.get(slot)
-                if pfn is None:
-                    # -- page-fault path, inlined ---------------------------
-                    # Same op order as the scalar ``_step``: gap cycles and
-                    # instruction counts land before the fault, the fault
-                    # latency is charged at the post-gap clock, and no TLB
-                    # hit is counted (``_alloc_page`` pre-fills the TLB).
-                    if profiling:
-                        fast = False
-                    else:
-                        clock += gapc[i]
-                        n_instr += gaps[i] + 1
-                        n_acc += 1
-                        lat = alloc_page(st, slot, clock)
-                        h_fault_rec(lat)
-                        clock += lat
-                        pfn = live[slot]
-                else:
-                    vpn = vpn_base + slot
-                    key = (domain, vpn)
-                    ts = tlb_sets[(vpn ^ asid_mix) % tlb_nsets]
-                    if key in ts:
-                        clock += gapc[i]
-                        n_instr += gaps[i] + 1
-                        n_acc += 1
-                        ts.move_to_end(key)
-                        n_tlb += 1
-                    elif profiling:
-                        fast = False      # TLB-walk path under the profiler
-                    else:
-                        # -- TLB-walk path, inlined -------------------------
-                        # The scalar step's ``tlb.lookup`` counts the miss;
-                        # the probe above already established it.
-                        clock += gapc[i]
-                        n_instr += gaps[i] + 1
-                        n_acc += 1
-                        tlb_stats.misses += 1
-                        lat = page_walk(ci, domain, page_table, vpn, clock)
-                        h_walk_rec(lat)
-                        clock += lat
-                        tlb_insert(domain, vpn, pfn)
-            if not fast:
-                st.clock = clock
-                st.pos = pos
-                step(ci, st)
-                clock = st.clock
-                pos = st.pos
-            else:
-                # -- committed fast path (scalar _step flattened) ----------
-                is_write = writes[i]
-                addr = pfn * BLOCKS_PER_PAGE + blocks[i]  # DATA tag is 0
-
-                s1 = l1_sets[addr % l1_nsets]
-                e1 = s1.get(addr)
-                if e1 is not None:                      # L1 hit
-                    s1.move_to_end(addr)
-                    if is_write:
-                        e1[0] = True
-                    n_l1h += 1
-                    n_hl1 += 1
-                    clock += l1_cost
-                    pos = i + 1
-                    if nxt0 is None or clock < nxt0 or (clock == nxt0
-                                                        and ci < nxt1):
-                        continue
-                    st.clock = clock
-                    st.pos = pos
-                    nxt = yield clock
-                    if nxt is None:
-                        nxt0 = None
-                    else:
-                        nxt0, nxt1 = nxt
-                    continue
-                n_l1m += 1
-
-                s2 = l2_sets[addr % l2_nsets]
-                e2 = s2.get(addr)
-                if e2 is not None:                      # L2 hit
-                    s2.move_to_end(addr)
-                    if is_write:
-                        e2[0] = True
-                    n_l2h += 1
-                    wb1 = l1_fill_absent(addr, is_write)
-                    if wb1 is not None:
-                        l2_fill(wb1, dirty=True)
-                    n_hl2 += 1
-                    clock += l2_cost
-                    pos = i + 1
-                else:
-                    n_l2m += 1
-                    llc_hit = llc_lookup(addr, is_write)
-                    writebacks = None
-                    wb2 = l2_fill_absent(addr)
-                    if wb2 is not None:
-                        ev_llc = llc_fill(wb2, dirty=True)
-                        if ev_llc is not None and ev_llc.dirty:
-                            writebacks = [ev_llc.addr]
-                    wb1 = l1_fill_absent(addr, is_write)
-                    if wb1 is not None:
-                        l2_fill(wb1, dirty=True)
-                    if llc_hit:                         # LLC hit
-                        if writebacks:
-                            handle_wb(writebacks, domain, clock)
-                        n_hllc += 1
-                        clock += llc_cost
-                        pos = i + 1
-                    else:                               # LLC miss
-                        wbllc = llc_fill_absent(addr)
-                        if wbllc is not None:
-                            if writebacks is None:
-                                writebacks = [wbllc]
-                            else:
-                                writebacks.append(wbllc)
-                        n_miss += 1
-                        latency = llcf + engine_access(
-                            domain, pfn, blocks[i], is_write, clock)
-                        if writebacks:
-                            handle_wb(writebacks, domain, clock)
-                        h_mem.record(latency)
-                        if latency <= l1f:
-                            clock += latency
-                        else:
-                            clock += l1f + (latency - l1f) / mlp
-                        pos = i + 1
-
-            if nxt0 is None or clock < nxt0 or (clock == nxt0 and ci < nxt1):
-                continue
-            st.clock = clock
-            st.pos = pos
-            nxt = yield clock
-            if nxt is None:
-                nxt0 = None
-            else:
-                nxt0, nxt1 = nxt
-
-        # -- exhausted: sync and flush deferred counters --------------------
-        st.clock = clock
-        st.pos = pos
-        if n_acc:
-            stats.mem_accesses += n_acc
-            stats.instructions += n_instr
-        if n_miss:
-            stats.llc_misses += n_miss
-        if n_tlb:
-            tlb.stats.hits += n_tlb
-        if n_l1h:
-            l1.stats.hits += n_l1h
-        if n_l1m:
-            l1.stats.misses += n_l1m
-        if n_l2h:
-            l2.stats.hits += n_l2h
-        if n_l2m:
-            l2.stats.misses += n_l2m
-        if n_hl1:
-            self._class_hist["l1"].record_many(l1f, n_hl1)
-        if n_hl2:
-            self._class_hist["l2"].record_many(l2f, n_hl2)
-        if n_hllc:
-            self._class_hist["llc"].record_many(llcf, n_hllc)
-
-    def _drain(self, states: list[_CoreState], until: int) -> None:
-        if self.tracer.enabled or not self._inline_safe():
-            super()._drain(states, until)
-            return
-        limits = [min(until, len(st.trace)) for st in states]
-        gens = []
-        heap = []
-        for ci, st in enumerate(states):
-            if st.pos < limits[ci]:
-                g = self._core_gen(ci, st, limits[ci])
-                next(g)  # run the prologue up to the priming yield
-                gens.append(g)
-                heap.append((st.clock, ci))
-            else:
-                gens.append(None)
-        heapq.heapify(heap)
-        push, pop = heapq.heappush, heapq.heappop
-        while heap:
-            _, ci = pop(heap)
-            try:
-                clk = gens[ci].send(heap[0] if heap else None)
-            except StopIteration:
-                continue
-            push(heap, (clk, ci))
+                   profiler=None) -> Simulator:
+    """Build the simulator for one run."""
+    return Simulator(config, engine, seed=seed, frame_policy=frame_policy,
+                     tracer=tracer, profiler=profiler)

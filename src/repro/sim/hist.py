@@ -89,7 +89,7 @@ class LatencyHistogram:
         """Record ``n`` identical samples.
 
         Bit-identical to calling :meth:`record` ``n`` times as long as
-        ``value`` is integer-valued (the batched simulator core only
+        ``value`` is integer-valued (the simulator core only
         uses this for constant hit latencies, which are): ``n`` repeated
         float additions of an integer-valued double and one addition of
         ``value * n`` are both exact.

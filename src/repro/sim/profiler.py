@@ -5,8 +5,7 @@ per-access model work" — but nothing could say *which* model work.
 This module answers that: it attributes **host wall time** (not
 simulated cycles — that is what the histograms are for) to a small set
 of named model phases, so `repro run --profile-phases` can print where
-an interpreter-second actually goes for any scheme under either
-simulator core.
+an interpreter-second actually goes for any scheme.
 
 Two profilers share one protocol, mirroring the tracer design
 (:mod:`repro.sim.trace`):
@@ -14,9 +13,9 @@ Two profilers share one protocol, mirroring the tracer design
 * :class:`NullProfiler` — the default.  ``enabled`` is a class
   attribute ``False`` and every method is a no-op; hook sites guard
   with ``if profiler.enabled:`` (or a hoisted local), so the off state
-  costs one attribute load and a branch — and only on the paths that
-  carry hooks at all (the scalar step's L1-hit path and the batched
-  core's committed fast path carry none).
+  costs one attribute load and a branch.  The simulator core reads
+  the flag once per drain into a local, so its per-access cost is a
+  local-variable branch; the engine and DRAM paths check per call.
 * :class:`PhaseProfiler` — a stack-based *exclusive-time* profiler.
   ``push(phase)`` charges the elapsed interval to the phase currently
   on top of the stack and enters the new phase; ``pop()`` charges the
@@ -56,7 +55,7 @@ drain loops, the unattributed residue is the simulator's setup and
 result assembly — small for any realistic cell — so a healthy run
 attributes ≥ :data:`COVERAGE_FLOOR` (90%) of its measured time.  A
 collapse of that ratio means instrumentation went missing (e.g. a new
-simulator core whose drain nobody wrapped), which is exactly what the
+drain loop nobody wrapped), which is exactly what the
 CLI self-check and the test suite guard against.
 """
 
@@ -203,14 +202,14 @@ class PhaseProfiler:
 
 
 def format_phase_table(reports: Iterable[tuple[str, dict]],
-                       core: str = "?") -> tuple[str, bool]:
+                       ) -> tuple[str, bool]:
     """Render per-scheme profiler reports as the CLI table.
 
     Returns ``(text, ok)`` where ``ok`` is the ≥ :data:`COVERAGE_FLOOR`
     self-check over every report (the CLI exits non-zero when it fails,
     so missing instrumentation cannot masquerade as a fast phase).
     """
-    lines = [f"\nphase attribution (host wall time, core={core}):",
+    lines = ["\nphase attribution (host wall time):",
              f"{'scheme':18s} {'phase':14s} {'self':>9s} {'share':>7s} "
              f"{'calls':>10s}"]
     ok = True

@@ -27,7 +27,6 @@ from repro.osmodel.pagetable import PageTable
 from repro.osmodel.tlb import TLB
 from repro.secure.engine import SecureMemoryEngine
 from repro.sim.config import BLOCKS_PER_PAGE, MachineConfig
-from repro.sim.cpu import CoreModel
 from repro.sim.hist import HistogramSet
 from repro.sim.profiler import NULL_PROFILER
 from repro.sim.registry import StatsRegistry
@@ -57,9 +56,9 @@ class _CoreState:
     live: dict = None          # vpage slot -> pfn
     live_list: list = None     # for O(1) random victim choice
     page_table: PageTable = None
-
-    def done(self) -> bool:
-        return self.pos >= len(self.trace)
+    #: The trace's request fields as plain lists, built once per run:
+    #: (gap, gap cycles, page slot, block, write flag).
+    arrays: tuple = None
 
 
 class Simulator:
@@ -77,7 +76,6 @@ class Simulator:
         self.config = config
         self.engine = engine
         self.hierarchy = CacheHierarchy(config, seed=seed)
-        self.core_model = CoreModel(config.core)
         self.allocator = FrameAllocator(config.memory_pages,
                                         policy=frame_policy, seed=seed)
         lmm = getattr(engine, "lmm_cache", None)
@@ -248,110 +246,291 @@ class Simulator:
         return lat
 
     # -- main loop -------------------------------------------------------------------
+    #
+    # Each core's step loop is a long-lived generator whose locals hold
+    # every hot structure (TLB, L1/L2 set lists, bound LLC and engine
+    # methods, stat objects, the trace's request fields as plain lists);
+    # the min-clock scheduler in ``_drain`` ``send``s the next heap
+    # threshold into the generator of the minimum-clock core, which runs
+    # accesses until it is no longer the global minimum.  The comparison
+    # ``(clock, ci) < (next_clock, next_ci)`` is the heap's own
+    # tie-break, so the interleaving across cores is a pure function of
+    # the simulated clocks.  Tracer and profiler hooks sit behind local
+    # ``if tracing:`` / ``if profiling:`` guards on the same loop.
 
-    def _step(self, ci: int, st: _CoreState) -> None:
-        """Process one trace access on core ``ci``."""
-        t = st.trace
-        i = st.pos
+    def _core_gen(self, ci: int, st: _CoreState, limit: int):
+        """Step loop of core ``ci`` as a generator.
+
+        Yields the core's clock whenever another core becomes the
+        global minimum; receives the new ``(clock, core)`` threshold to
+        run against (None: no other core is waiting).  Returns once
+        ``limit`` accesses are done, flushing the deferred counters.
+        """
+        cfg = self.config
         tr = self.tracer
         tracing = tr.enabled
-        if tracing:
-            # Components below (caches, TLB, DRAM) stamp their events
-            # with the tracer's ambient core/domain/clock.
-            tr.cur_tid = ci
-            tr.cur_domain = st.domain
-            tr.clock = st.clock
+        prof = self.profiler
+        profiling = prof.enabled
+        tlb = self.tlb
+        tlb_sets = tlb._sets
+        tlb_nsets = tlb.n_sets
+        tlb_lookup = tlb.lookup
+        tlb_insert = tlb.insert
+        hier = self.hierarchy
+        llc = hier.llc
+        # ``fill_absent`` is only used where the preceding probe just
+        # observed a miss; dirty-victim re-inserts keep the generic
+        # ``fill`` because the victim may already be present downstream.
+        llc_lookup = llc.lookup
+        llc_fill = llc.fill
+        llc_fill_absent = llc.fill_absent
+        engine_access = self.engine.data_access
+        handle_wb = self._handle_writebacks
+        churn = self._churn
+        alloc_page = self._alloc_page
+        page_walk = self._page_walk
+        h_fault_rec = self._h_fault.record
+        h_walk_rec = self._h_walk.record
+        h_mem_rec = self._class_hist["mem"].record
+        page_table = st.page_table
 
-        if (t.churn_every and i and i % t.churn_every == 0
-                and len(st.live_list) > 16):
-            prof = self.profiler
-            profiling = prof.enabled
-            if profiling:
-                prof.push("churn")
-            t0 = st.clock
-            st.clock += self._churn(st, st.clock)
-            if profiling:
-                prof.pop()
+        l1f = float(cfg.core.l1.hit_latency)
+        l2f = float(cfg.core.l2.hit_latency)
+        llcf = float(cfg.llc.hit_latency)
+        mlp = cfg.core.mlp
+        # CoreModel.access_cycles of the L2 and LLC hit latencies (an L1
+        # hit costs exactly its latency).
+        l2_cost = l2f if l2f <= l1f else l1f + (l2f - l1f) / mlp
+        llc_cost = llcf if llcf <= l1f else l1f + (llcf - l1f) / mlp
+
+        gaps, gapc, vpages, blocks, writes = st.arrays
+        churn_every = st.trace.churn_every
+        live = st.live
+        live_list = st.live_list
+        stats = st.stats
+        domain = st.domain
+        vpn_base = st.vpn_base
+        asid_mix = domain * 0x9E37
+        l1 = hier.l1[ci]
+        l2 = hier.l2[ci]
+        l1_sets = l1._sets
+        l2_sets = l2._sets
+        l1_nsets = l1.n_sets
+        l2_nsets = l2.n_sets
+        l1_fill_absent = l1.fill_absent
+        l2_fill_absent = l2.fill_absent
+        l2_fill = l2.fill
+
+        clock = st.clock
+        pos = st.pos
+        # Deferred commutative counters, flushed on exhaustion: integer
+        # adds, and hit-latency histogram samples that are integer-valued
+        # floats (``record_many`` of those is exact in IEEE doubles, so
+        # the batching is order-independent).  Variable latencies are
+        # recorded immediately, in order.
+        n_tlb = n_l1h = n_l1m = n_l2h = n_l2m = n_hllc = n_miss = 0
+        n_acc = n_instr = 0
+
+        # Prime: wait for the first scheduling threshold.
+        nxt = yield
+        if nxt is None:
+            nxt0 = None
+        else:
+            nxt0, nxt1 = nxt
+
+        while pos < limit:
+            i = pos
             if tracing:
-                tr.complete("sim", "churn", ts=t0, dur=st.clock - t0,
-                            core=ci, domain=st.domain)
-                tr.clock = st.clock
-
-        gap = int(t.gap[i])
-        st.clock += gap * self.config.core.base_cpi
-        st.stats.instructions += gap + 1
-        st.stats.mem_accesses += 1
-        if tracing:
-            tr.clock = st.clock
-
-        slot = int(t.vpage[i])
-        is_write = bool(t.is_write[i])
-        block = int(t.block[i])
-
-        pfn = st.live.get(slot)
-        if pfn is None:
-            prof = self.profiler
-            profiling = prof.enabled
-            if profiling:
-                prof.push("page_fault")
-            lat = self._alloc_page(st, slot, st.clock)
-            if profiling:
-                prof.pop()
-            self._h_fault.record(lat)
+                # Components below (caches, TLB, DRAM) stamp their events
+                # with the tracer's ambient core/domain/clock.
+                tr.cur_tid = ci
+                tr.cur_domain = domain
+                tr.clock = clock
+            if (churn_every and i and i % churn_every == 0
+                    and len(live_list) > 16):
+                if profiling:
+                    prof.push("churn")
+                t0 = clock
+                clock += churn(st, clock)
+                if profiling:
+                    prof.pop()
+                if tracing:
+                    tr.complete("sim", "churn", ts=t0, dur=clock - t0,
+                                core=ci, domain=domain)
+                    tr.clock = clock
+            clock += gapc[i]
+            n_instr += gaps[i] + 1
+            n_acc += 1
             if tracing:
-                tr.complete("page", "fault", ts=st.clock, dur=lat,
-                            core=ci, domain=st.domain, pfn=st.live[slot])
-            st.clock += lat
-            pfn = st.live[slot]
-        elif self.tlb.lookup(st.domain, st.vpn_base + slot) is None:
-            prof = self.profiler
-            profiling = prof.enabled
-            if profiling:
-                prof.push("tlb_walk")
-            lat = self._page_walk(ci, st.domain, st.page_table,
-                                  st.vpn_base + slot, st.clock)
-            if profiling:
-                prof.pop()
-            self._h_walk.record(lat)
-            if tracing:
-                tr.complete("tlb", "walk", ts=st.clock, dur=lat,
-                            core=ci, domain=st.domain)
-            st.clock += lat
-            self.tlb.insert(st.domain, st.vpn_base + slot, pfn)
-        if tracing:
-            tr.clock = st.clock
+                tr.clock = clock
 
-        addr = spaces.tag(spaces.DATA, pfn * BLOCKS_PER_PAGE + block)
-        res = self.hierarchy.access(ci, addr, is_write)
-        latency = float(res.latency)
-        if res.llc_miss:
-            st.stats.llc_misses += 1
-            latency += self.engine.data_access(
-                st.domain, pfn, block, is_write, st.clock)
-        if res.writeback_addrs:
-            self._handle_writebacks(res.writeback_addrs, st.domain,
-                                    st.clock)
-        self._class_hist[res.level].record(latency)
-        if tracing:
-            tr.complete("request", self._class_name[res.level],
-                        ts=st.clock, dur=latency, core=ci,
-                        domain=st.domain, write=is_write, pfn=pfn)
-        st.clock += self.core_model.access_cycles(latency)
-        st.pos += 1
+            slot = vpages[i]
+            pfn = live.get(slot)
+            if pfn is None:
+                # Page fault: ``_alloc_page`` also fills the TLB, so no
+                # TLB hit is counted.
+                if profiling:
+                    prof.push("page_fault")
+                lat = alloc_page(st, slot, clock)
+                if profiling:
+                    prof.pop()
+                h_fault_rec(lat)
+                pfn = live[slot]
+                if tracing:
+                    tr.complete("page", "fault", ts=clock, dur=lat,
+                                core=ci, domain=domain, pfn=pfn)
+                clock += lat
+            else:
+                vpn = vpn_base + slot
+                key = (domain, vpn)
+                ts = tlb_sets[(vpn ^ asid_mix) % tlb_nsets]
+                if key in ts:
+                    ts.move_to_end(key)
+                    n_tlb += 1
+                else:
+                    tlb_lookup(domain, vpn)   # counts (and traces) the miss
+                    if profiling:
+                        prof.push("tlb_walk")
+                    lat = page_walk(ci, domain, page_table, vpn, clock)
+                    if profiling:
+                        prof.pop()
+                    h_walk_rec(lat)
+                    if tracing:
+                        tr.complete("tlb", "walk", ts=clock, dur=lat,
+                                    core=ci, domain=domain)
+                    clock += lat
+                    tlb_insert(domain, vpn, pfn)
+            if tracing:
+                tr.clock = clock
+
+            is_write = writes[i]
+            addr = pfn * BLOCKS_PER_PAGE + blocks[i]  # DATA tag is 0
+            s1 = l1_sets[addr % l1_nsets]
+            e1 = s1.get(addr)
+            if e1 is not None:                          # L1 hit
+                s1.move_to_end(addr)
+                if is_write:
+                    e1[0] = True
+                n_l1h += 1
+                if tracing:
+                    tr.complete("request", "l1_hit", ts=clock, dur=l1f,
+                                core=ci, domain=domain, write=is_write,
+                                pfn=pfn)
+                clock += l1f
+            else:
+                n_l1m += 1
+                s2 = l2_sets[addr % l2_nsets]
+                e2 = s2.get(addr)
+                if e2 is not None:                      # L2 hit
+                    s2.move_to_end(addr)
+                    if is_write:
+                        e2[0] = True
+                    n_l2h += 1
+                    wb1 = l1_fill_absent(addr, is_write)
+                    if wb1 is not None:
+                        l2_fill(wb1, dirty=True)
+                    if tracing:
+                        tr.complete("request", "l2_hit", ts=clock,
+                                    dur=l2f, core=ci, domain=domain,
+                                    write=is_write, pfn=pfn)
+                    clock += l2_cost
+                else:
+                    n_l2m += 1
+                    llc_hit = llc_lookup(addr, is_write)
+                    # Fill the private levels wherever the block came from.
+                    writebacks = None
+                    wb2 = l2_fill_absent(addr)
+                    if wb2 is not None:
+                        ev_llc = llc_fill(wb2, dirty=True)
+                        if ev_llc is not None and ev_llc.dirty:
+                            writebacks = [ev_llc.addr]
+                    wb1 = l1_fill_absent(addr, is_write)
+                    if wb1 is not None:
+                        l2_fill(wb1, dirty=True)
+                    if llc_hit:                         # LLC hit
+                        if writebacks:
+                            handle_wb(writebacks, domain, clock)
+                        n_hllc += 1
+                        if tracing:
+                            tr.complete("request", "llc_hit", ts=clock,
+                                        dur=llcf, core=ci, domain=domain,
+                                        write=is_write, pfn=pfn)
+                        clock += llc_cost
+                    else:                               # LLC miss
+                        wbllc = llc_fill_absent(addr)
+                        if wbllc is not None:
+                            if writebacks is None:
+                                writebacks = [wbllc]
+                            else:
+                                writebacks.append(wbllc)
+                        n_miss += 1
+                        latency = llcf + engine_access(
+                            domain, pfn, blocks[i], is_write, clock)
+                        if writebacks:
+                            handle_wb(writebacks, domain, clock)
+                        h_mem_rec(latency)
+                        if tracing:
+                            tr.complete("request", "llc_miss", ts=clock,
+                                        dur=latency, core=ci,
+                                        domain=domain, write=is_write,
+                                        pfn=pfn)
+                        if latency <= l1f:
+                            clock += latency
+                        else:
+                            clock += l1f + (latency - l1f) / mlp
+            pos = i + 1
+
+            if nxt0 is None or clock < nxt0 or (clock == nxt0 and ci < nxt1):
+                continue
+            st.clock = clock
+            st.pos = pos
+            nxt = yield clock
+            if nxt is None:
+                nxt0 = None
+            else:
+                nxt0, nxt1 = nxt
+
+        # -- exhausted: sync and flush deferred counters --------------------
+        st.clock = clock
+        st.pos = pos
+        stats.mem_accesses += n_acc
+        stats.instructions += n_instr
+        stats.llc_misses += n_miss
+        tlb.stats.hits += n_tlb
+        l1.stats.hits += n_l1h
+        l1.stats.misses += n_l1m
+        l2.stats.hits += n_l2h
+        l2.stats.misses += n_l2m
+        hists = self._class_hist
+        if n_l1h:
+            hists["l1"].record_many(l1f, n_l1h)
+        if n_l2h:
+            hists["l2"].record_many(l2f, n_l2h)
+        if n_hllc:
+            hists["llc"].record_many(llcf, n_hllc)
 
     def _drain(self, states: list[_CoreState], until: int) -> None:
         """Advance every core to access index ``until`` (min-clock order)."""
         limits = [min(until, len(st.trace)) for st in states]
-        heap = [(st.clock, i) for i, st in enumerate(states)
-                if st.pos < limits[i]]
+        gens = []
+        heap = []
+        for ci, st in enumerate(states):
+            if st.pos < limits[ci]:
+                g = self._core_gen(ci, st, limits[ci])
+                next(g)  # run the prologue up to the priming yield
+                gens.append(g)
+                heap.append((st.clock, ci))
+            else:
+                gens.append(None)
         heapq.heapify(heap)
         push, pop = heapq.heappush, heapq.heappop
         while heap:
             _, ci = pop(heap)
-            st = states[ci]
-            self._step(ci, st)
-            if st.pos < limits[ci]:
-                push(heap, (st.clock, ci))
+            try:
+                clk = gens[ci].send(heap[0] if heap else None)
+            except StopIteration:
+                continue
+            push(heap, (clk, ci))
 
     def _reset_measurement(self, states: list[_CoreState]) -> None:
         """Zero accumulated statistics at the warmup boundary.
@@ -408,6 +587,16 @@ class Simulator:
                 live={}, live_list=[], page_table=table)
             st.vpn_base = i << 24
             st.warmup_clock = 0.0
+            gap = np.asarray(trace.gap)
+            # Gap cycles are one float64 product per access (int64 ->
+            # float64 is exact for these magnitudes), done up front.
+            st.arrays = (
+                gap.tolist(),
+                (gap.astype(np.float64) * cfg.core.base_cpi).tolist(),
+                np.asarray(trace.vpage).tolist(),
+                np.asarray(trace.block).tolist(),
+                np.asarray(trace.is_write).astype(bool).tolist(),
+            )
             states.append(st)
         self._states = states
         prof = self.profiler
@@ -437,6 +626,7 @@ class Simulator:
 
         result = RunResult(scheme=self.engine.name, workload=workload.name)
         for st in states:
+            st.arrays = None
             st.stats.cycles = st.clock - st.warmup_clock
             result.cores.append(st.stats)
         result.engine = self.engine.stats

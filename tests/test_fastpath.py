@@ -1,24 +1,25 @@
-"""Fast-path vs generic-path equivalence.
+"""Cache and engine fast-path contracts.
 
-PR 9 adds pre-bound monomorphic probe/fill closures to the cache models
-(``bind_fast_probe`` / ``bind_fast_fill``), a fused ``touch_dirty``
-probe, batched MIRAGE candidate hashing (``prime_candidates``) and a
-fused engine metadata path (``_verify_fast`` + memoized walk
-addresses).  All of them promise *bit-identical* behaviour to the
-generic instrumented code in every observable: hit/miss outcomes, LRU
-order, dirty bits, victims, stats and latencies.  This suite drives the
-fast and generic forms in lockstep and compares the full state:
+The cache models offer a known-absent fill (``fill_absent``), a fused
+``touch_dirty`` probe and batched MIRAGE candidate hashing
+(``prime_candidates``); the engines look their metadata caches and
+``_verify_path`` up per call.  The end-to-end results are pinned by the
+golden digests (``tests/test_golden.py``); this suite checks the
+primitives directly, including organisations the golden cells never
+reach (way-locked and fully locked sets):
 
 * a seeded property test runs a random probe/fill stream through two
-  identically-configured caches -- one via ``lookup``/``fill``, one via
-  the bound closures -- for plain, locked-way and MIRAGE organisations;
+  identically-configured caches -- one filling with ``fill``, one with
+  ``fill_absent`` -- for plain, locked-way and MIRAGE organisations,
+  comparing victims, full state and the traced ``place``/``evict``
+  events;
 * ``prime_candidates`` must memoize exactly the values the lazy
   per-address hash would have produced (numpy uint64 wraparound
   included);
 * ``touch_dirty`` must equal the ``contains`` + ``lookup(is_write=True)``
   pair it fused (the SGX counter-tree dirty-walk regression);
-* every engine in the registry must produce identical results with
-  ``use_fast_path`` on and off.
+* an instance-level ``_verify_path`` and a metadata cache swapped in
+  after construction both take effect.
 """
 
 import random
@@ -29,10 +30,7 @@ from repro.experiments.parallel import resolve_engine
 from repro.mem.cache import Cache
 from repro.mem.mirage import MirageCache
 from repro.sim.config import CacheConfig, tiny_config
-from repro.sim.simulator import Simulator
-from repro.workloads.mixes import build_mix
-
-from tests.test_batched import ALL_NINE
+from repro.sim.trace import EventTracer
 
 #: Small geometry so a few hundred addresses generate real conflict
 #: pressure (evictions, write-backs, power-of-two-choices imbalance).
@@ -53,39 +51,41 @@ def _snapshot(cache):
 
 
 def _drive_pair(generic, fast, seed, n_ops=_N_OPS):
-    """Random probe/fill stream; ``generic`` uses the instrumented
-    methods, ``fast`` the pre-bound closures.  Divergence is asserted
-    per-operation so a failure names the first differing op."""
-    probe = fast.bind_fast_probe()
-    fill_absent = fast.bind_fast_fill()
+    """Random probe/fill stream; ``generic`` fills a miss with ``fill``,
+    ``fast`` with ``fill_absent``.  Divergence is asserted per-operation
+    so a failure names the first differing op."""
+    tracers = EventTracer(limit=None), EventTracer(limit=None)
+    generic.tracer, fast.tracer = tracers
     rng = random.Random(seed)
     for op in range(n_ops):
         addr = rng.randrange(_N_ADDRS)
         is_write = rng.random() < 0.4
         hit_g = generic.lookup(addr, is_write=is_write)
-        hit_f = probe(addr, is_write)
+        hit_f = fast.lookup(addr, is_write=is_write)
         assert hit_g == hit_f, f"probe diverged at op {op} addr {addr}"
         if not hit_g:
             # The fill_absent contract: only for a just-observed miss.
             ev = generic.fill(addr, dirty=is_write)
             wb_g = ev.addr if ev is not None and ev.dirty else None
-            wb_f = fill_absent(addr, dirty=is_write)
+            wb_f = fast.fill_absent(addr, dirty=is_write)
             assert wb_g == wb_f, \
                 f"fill victim diverged at op {op} addr {addr}"
     assert _snapshot(generic) == _snapshot(fast)
+    assert tracers[0].events() == tracers[1].events()
+    assert tracers[0].events(), "the stream should evict"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_plain_cache_fast_probe_fill_equivalent(seed):
-    _drive_pair(Cache(_CFG, "g"), Cache(_CFG, "f"), seed)
+    _drive_pair(Cache(_CFG, "c"), Cache(_CFG, "c"), seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_locked_way_cache_fast_probe_fill_equivalent(seed):
     """Way-locking (TreeLing root pinning) switches the victim pick from
     the LRU head to a locked-aware scan; one set is even fully locked so
-    fills into it are dropped.  The closures must mirror all of it."""
-    generic, fast = Cache(_CFG, "g"), Cache(_CFG, "f")
+    fills into it are dropped.  ``fill_absent`` must mirror all of it."""
+    generic, fast = Cache(_CFG, "c"), Cache(_CFG, "c")
     n_sets = generic.n_sets
     for cache in (generic, fast):
         for way in range(cache.assoc):          # set 0: fully locked
@@ -99,40 +99,18 @@ def test_locked_way_cache_fast_probe_fill_equivalent(seed):
 def test_mirage_cache_fast_probe_fill_equivalent(seed):
     """Same-seeded MIRAGE caches share hash keys, so the skewed probe,
     power-of-two-choices placement and skew counters must all match."""
-    _drive_pair(MirageCache(_CFG, "g", seed=7),
-                MirageCache(_CFG, "f", seed=7), seed)
+    _drive_pair(MirageCache(_CFG, "m", seed=7),
+                MirageCache(_CFG, "m", seed=7), seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mirage_locked_fast_probe_fill_equivalent(seed):
-    generic = MirageCache(_CFG, "g", seed=7)
-    fast = MirageCache(_CFG, "f", seed=7)
+    generic = MirageCache(_CFG, "m", seed=7)
+    fast = MirageCache(_CFG, "m", seed=7)
     for cache in (generic, fast):
         for addr in (0, 3, 17, 101):
             cache.lock(addr)
     _drive_pair(generic, fast, seed)
-
-
-def test_subclass_gets_generic_methods_back():
-    """An unknown subclass must keep its own semantics: the binders
-    return the instance's generic ``lookup`` / a ``fill``-based wrapper
-    instead of the baked-in closures."""
-    class Weird(Cache):
-        pass
-
-    c = Weird(_CFG, "w")
-    assert c.bind_fast_probe() == c.lookup
-    fill_absent = c.bind_fast_fill()
-    assert fill_absent(5, dirty=True) is None    # fills via generic fill
-    assert c.contains(5)
-
-    class WeirdMirage(MirageCache):
-        pass
-
-    m = WeirdMirage(_CFG, "wm", seed=7)
-    assert m.bind_fast_probe() == m.lookup
-    assert m.bind_fast_fill()(5, dirty=False) is None
-    assert m.contains(5)
 
 
 def test_prime_candidates_matches_lazy_hash():
@@ -182,7 +160,6 @@ def test_sgx_dirty_walk_probes_each_node_once():
     ``touch_dirty`` per node and stops at the first cached level."""
     eng = resolve_engine("sgx-counter-tree")(tiny_config(n_cores=2),
                                              seed=11)
-    eng.use_fast_path = False        # pin the instrumented _verify_path
     tc = eng.tree_cache
     calls = {"touch": 0, "contains": 0}
     orig_touch = tc.touch_dirty
@@ -212,67 +189,34 @@ def test_sgx_dirty_walk_probes_each_node_once():
     assert calls["contains"] == 0
 
 
-def _run_engine(scheme, fast, mix="M-2", n_accesses=400, seed=3,
-                warmup=100):
-    """test_batched's harness, but comparing the engine's own fast and
-    instrumented paths on the scalar core (the batched-vs-scalar axis is
-    test_batched's job)."""
-    cfg = tiny_config(n_cores=4)
-    engine = resolve_engine(scheme)(cfg, seed=11)
-    if not fast:
-        engine.use_fast_path = False
-    workload = build_mix(mix, n_accesses=n_accesses, seed=seed, scale=0.05)
-    frame_policy = ("sequential" if scheme.startswith("static-partition")
-                    else "fragmented")
-    sim = Simulator(cfg, engine, seed=seed, frame_policy=frame_policy)
-    result = sim.run(workload, warmup=warmup)
-    hists = {name: h.to_dict() for name, h in sim._class_hist.items()}
-    return result.to_dict(), sim.registry.snapshot(), hists
-
-
-@pytest.mark.parametrize("scheme", ALL_NINE)
-def test_engine_fast_path_bit_identical(scheme):
-    """Every engine: ``use_fast_path`` on vs off yields equal results,
-    registry snapshots and histogram buckets."""
-    f_res, f_reg, f_hist = _run_engine(scheme, fast=True)
-    s_res, s_reg, s_hist = _run_engine(scheme, fast=False)
-    assert f_reg == s_reg
-    assert f_hist == s_hist, "per-class latency histogram buckets differ"
-    assert f_res == s_res
-
-
-def test_override_without_fast_walk_keeps_instrumented_path():
-    """An engine subclass that overrides ``_verify_path`` without
-    supplying the matching ``_verify_fast`` must never take the fast
-    path (it would silently run the parent's walk semantics)."""
-    from repro.secure.engine import BaselineEngine
-
-    class Overridden(BaselineEngine):
-        name = "overridden"
-
-        def _verify_path(self, domain, pfn, now, for_write):
-            return super()._verify_path(domain, pfn, now, for_write)
-
-    eng = Overridden(tiny_config(n_cores=2), seed=11)
-    assert not eng._fast_ok
-    base = resolve_engine("baseline")(tiny_config(n_cores=2), seed=11)
-    assert base._fast_ok
-
-
-def test_instance_verify_patch_routes_through_slow_path():
+def test_instance_verify_patch_takes_effect():
     """The differential oracle patches ``_verify_path`` on instances
-    (fault injection); the gate must honour such patches."""
+    (fault injection); both entry points must call the patch."""
     eng = resolve_engine("baseline")(tiny_config(n_cores=2), seed=11)
     calls = []
-    orig = eng._data_access_slow
+    orig = eng._verify_path
 
-    def counting_slow(*args):
+    def counting(*args):
         calls.append(args)
         return orig(*args)
 
-    eng._data_access_slow = counting_slow
+    eng._verify_path = counting
     eng.data_access(0, 3, 0, False, 0.0)
-    assert not calls, "untraced engine should take the fast path"
-    eng._verify_path = eng._verify_path      # instance-level shadow
-    eng.data_access(0, 3, 1, False, 0.0)
-    assert calls, "instance _verify_path patch must force the slow path"
+    eng.handle_writeback(0, 3, 1, 10.0)
+    assert [c[3] for c in calls] == [False, True]
+
+
+def test_swapped_counter_cache_takes_effect():
+    """A metadata cache replaced after construction (the leakage
+    checker's ``aliased-counters`` mutation) is the one the engine
+    probes and fills."""
+    eng = resolve_engine("ivleague-basic")(tiny_config(n_cores=2),
+                                           seed=11)
+    eng.on_domain_start(1)
+    eng.on_page_alloc(1, 7, 0.0)
+    fresh = Cache(eng.counter_cache.config, "ctr$")
+    eng.counter_cache = fresh
+    eng.data_access(1, 7, 0, False, 0.0)
+    assert fresh.stats.misses == 1 and len(fresh) == 1
+    eng.data_access(1, 7, 1, False, 1000.0)
+    assert fresh.stats.hits == 1

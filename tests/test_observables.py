@@ -1,25 +1,19 @@
 """Observable-trace projection tests: the per-domain canonical
-projection itself, golden cross-core identity (every engine's observable
-traces must be byte-identical between the scalar and batched cores), and
+projection itself, golden identity (every engine's observable traces
+must match the digests pinned in ``tests/golden/digests.json``), and
 the leakage statistics (plug-in MI / total-variation distance) on
 synthetic fixtures with known mutual information."""
 
+import hashlib
 import math
 
 import pytest
 
-from repro.experiments.parallel import resolve_engine
 from repro.obs.leakage import plugin_mi_bits, tv_distance
 from repro.obs.observables import (ObservableTrace, first_divergence,
                                    observable_tuple, project_events)
-from repro.sim.batched import make_simulator
-from repro.sim.config import tiny_config
 from repro.sim.trace import EventTracer, validate_events
-from repro.workloads.mixes import build_mix
-
-ALL_NINE = ["baseline", "ivleague-basic", "ivleague-invert",
-            "ivleague-pro", "ivleague-bv1", "ivleague-bv2",
-            "sgx-counter-tree", "vault", "static-partition"]
+from tests import test_golden as golden
 
 
 def _ev(cat, name, ph="i", ts=0, **args):
@@ -100,43 +94,37 @@ class TestProjection:
 
 
 class TestGoldenCrossCore:
-    """Satellites 2+3: identical runs must produce byte-identical
-    per-domain observable traces, and the scalar and batched cores must
-    agree on them for every engine (the observable projection inherits
-    the PR-7 lockstep guarantee)."""
+    """Identical runs must produce byte-identical per-domain observable
+    traces, and every engine's traces must equal the golden digests
+    pinned in ``tests/golden/digests.json`` (the observable projection
+    inherits the fixture's bit-identity guarantee)."""
 
     @staticmethod
-    def _observables(core, scheme):
-        cfg = tiny_config(n_cores=4)
-        engine = resolve_engine(scheme)(cfg, seed=11)
+    def _observables(scheme):
         tracer = EventTracer(limit=None)
-        policy = ("sequential" if scheme.startswith("static-partition")
-                  else "fragmented")
-        sim = make_simulator(core, cfg, engine, seed=3,
-                             frame_policy=policy, tracer=tracer)
-        wl = build_mix("S-1", n_accesses=400, seed=3, scale=0.05)
-        sim.run(wl, warmup=100)
+        sim, wl = golden.build(scheme, "S-1", golden.default_policy(scheme),
+                               tracer=tracer)
+        sim.run(wl, warmup=golden.WARMUP)
         evs = tracer.events()
         assert validate_events(evs) == []
         traces, problems = project_events(evs)
         assert problems == [], problems[:5]
         return traces
 
-    @pytest.mark.parametrize("scheme", ALL_NINE)
-    def test_observable_traces_identical_across_cores(self, scheme):
-        scalar = self._observables("scalar", scheme)
-        batched = self._observables("batched", scheme)
-        assert sorted(scalar) == sorted(batched)
-        assert len(scalar) >= 2   # several domains actually observed
-        for d in scalar:
-            assert len(scalar[d]) > 0
-            assert scalar[d].canonical() == batched[d].canonical(), (
-                f"{scheme} domain {d}: "
-                f"{first_divergence(scalar[d], batched[d])}")
+    @pytest.mark.parametrize("scheme", golden.ENGINES)
+    def test_observable_traces_match_golden(self, scheme):
+        traces = self._observables(scheme)
+        want = golden.golden()["traced"][scheme]["observables"]
+        assert len(traces) >= 2   # several domains actually observed
+        for t in traces.values():
+            assert len(t) > 0
+        got = {str(d): hashlib.sha256(t.canonical().encode()).hexdigest()
+               for d, t in traces.items()}
+        assert got == want
 
     def test_repeated_run_is_byte_identical(self):
-        a = self._observables("scalar", "ivleague-basic")
-        b = self._observables("scalar", "ivleague-basic")
+        a = self._observables("ivleague-basic")
+        b = self._observables("ivleague-basic")
         assert {d: t.digest() for d, t in a.items()} \
             == {d: t.digest() for d, t in b.items()}
 

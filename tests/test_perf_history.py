@@ -28,13 +28,12 @@ def perf_check():
     return _load_script("perf_check")
 
 
-def _payload(tput=4.0, warm=0.05, quick=True, core="batched"):
+def _payload(tput=4.0, warm=0.05, quick=True):
     """Minimal BENCH_runner payload shaped like bench.py's output."""
     return {
         "bench": "experiment-runner",
         "host": {"cpus": 4, "platform": "linux"},
         "sweep": {"quick": quick, "n_cells": 8, "n_accesses": 2000},
-        "core": core,
         "cells_per_sec_serial": tput,
         "warm_seconds_per_cell": warm,
         "parallel_speedup": None,
@@ -53,7 +52,7 @@ class TestHistoryRecord:
         rec = _record(bench)
         assert rec["bench"] == "experiment-runner"
         assert rec["quick"] is True
-        assert rec["core"] == "batched"
+        assert "core" not in rec
         assert rec["n_cells"] == 8
         assert rec["n_accesses"] == 2000
         assert rec["cells_per_sec_serial"] == 4.0
@@ -86,12 +85,24 @@ class TestCheck:
         assert any("nothing to regress against" in m for m in msgs)
 
     def test_incomparable_history_is_ignored(self, bench, perf_check):
-        # prior records are a different core: still a first-entry pass
-        records = [_record(bench, core="scalar", tput=100.0),
-                   _record(bench, core="batched", tput=1.0)]
+        # prior records are a different sweep: still a first-entry pass
+        records = [_record(bench, quick=False, tput=100.0),
+                   _record(bench, quick=True, tput=1.0)]
         ok, msgs = perf_check.check(records)
         assert ok
         assert any("nothing to regress against" in m for m in msgs)
+
+    def test_records_with_a_core_field_stay_comparable(self, bench,
+                                                       perf_check):
+        # Older records carry a simulator "core" field; it is no longer
+        # a comparability key, so they still form the baseline.
+        old = [dict(_record(bench, tput=4.0), core="batched")
+               for _ in range(3)]
+        ok, msgs = perf_check.check(old + [_record(bench, tput=2.0)],
+                                    tolerance=0.25)
+        assert not ok
+        assert any("cells_per_sec_serial" in m and "REGRESSED" in m
+                   for m in msgs)
 
     def test_within_tolerance_passes(self, bench, perf_check):
         records = [_record(bench, tput=4.0, warm=0.05) for _ in range(3)]

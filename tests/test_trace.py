@@ -273,20 +273,20 @@ class TestOverheadGuard:
             f"estimated NullTracer overhead {overhead:.4f}s vs "
             f"run {run_time:.4f}s ({100 * overhead / run_time:.1f}%)")
 
-    def test_batched_core_disabled_telemetry_under_5_percent(
+    def test_simulator_disabled_telemetry_under_5_percent(
             self, tiny, monkeypatch):
-        """REPRO_CORE=batched with tracer, profiler and metrics off
-        must stay under a 5% telemetry budget.
+        """The simulator with tracer, profiler and metrics off must stay
+        under a 5% telemetry budget.
 
-        Tighter than the scalar bound because the batched committed
-        fast path carries no hooks at all — guard checks happen only on
-        slow paths (engine calls, faults, walks).  The count is exact:
+        Tighter than the event-count bound above because the core loop
+        reads both ``enabled`` flags once per drain; per-access guard
+        checks happen only in engine calls, faults, walks and DRAM
+        requests.  The count is exact:
         ``enabled`` on both null singletons becomes a counting property
         for one run, then the product with a microbenchmarked guard
         cost is compared against an uninstrumented run's wall time.
         """
         from repro.sim import profiler as profiler_mod
-        from repro.sim.batched import BatchedSimulator
         wl = _wl(2000)
         counts = {"n": 0}
 
@@ -298,13 +298,13 @@ class TestOverheadGuard:
             mp.setattr(NullTracer, "enabled", property(_counting))
             mp.setattr(profiler_mod.NullProfiler, "enabled",
                        property(_counting))
-            BatchedSimulator(tiny, BaselineEngine(tiny)).run(wl)
+            Simulator(tiny, BaselineEngine(tiny)).run(wl)
         n_checks = counts["n"]
         assert n_checks > 0, "no guard site was exercised at all"
         # wall time of the same run with plain (restored) nulls
         run_time = float("inf")
         for _ in range(2):
-            sim = BatchedSimulator(tiny, BaselineEngine(tiny))
+            sim = Simulator(tiny, BaselineEngine(tiny))
             t0 = time.perf_counter()
             sim.run(wl)
             run_time = min(run_time, time.perf_counter() - t0)
@@ -316,7 +316,7 @@ class TestOverheadGuard:
         per_check = max(check - loop, 0.0) / n_bench
         overhead = n_checks * per_check * 3   # 3x estimator margin
         assert overhead < 0.05 * run_time, (
-            f"estimated batched-core telemetry overhead {overhead:.4f}s "
+            f"estimated disabled-telemetry overhead {overhead:.4f}s "
             f"({n_checks} guard checks) vs run {run_time:.4f}s "
             f"({100 * overhead / run_time:.1f}%)")
 
