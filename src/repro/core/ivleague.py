@@ -16,7 +16,6 @@ from repro.core.domain import IVDomainController
 from repro.core.lmm import LeafMap, LMMCache
 from repro.core.nfl import ChainedNFL, NFLBuffer, NFLOp
 from repro.core.treeling import SlotRef, TreeLingGeometry
-from repro.mem import spaces
 from repro.mem.mirage import make_cache
 from repro.secure.engine import SecureMemoryEngine
 from repro.sim.config import BLOCK_BYTES, MachineConfig, TREE_ARITY

@@ -34,18 +34,16 @@ class Eviction:
 class Cache:
     """LRU set-associative cache keyed by integer block address."""
 
-    #: Class-level defaults so the hot paths never None-check; the
-    #: simulator installs real instances cache-wide when tracing or
-    #: profiling is on.  Only MirageCache reads ``profiler`` (for the
-    #: "mirage_hash" phase); the plain lookup path stays untouched.
-    tracer = NULL_TRACER
-    profiler = NULL_PROFILER
-
     def __init__(self, config: CacheConfig, name: str = "cache") -> None:
         if config.assoc <= 0:
             raise ValueError("associativity must be positive")
         self.config = config
         self.name = name
+        # Null defaults so the hot paths never None-check; the simulator
+        # installs real instances cache-wide when tracing or profiling
+        # is on.  Only MirageCache reads ``profiler`` ("mirage_hash").
+        self.tracer = NULL_TRACER
+        self.profiler = NULL_PROFILER
         self.n_sets = config.n_sets
         self.assoc = config.assoc
         # Each set: OrderedDict addr -> (dirty, locked); LRU = first item.

@@ -44,6 +44,9 @@ class MemoryController:
 
     def __init__(self, config: DRAMConfig) -> None:
         self.dram = DRAM(config)
+        #: ``(tracer, profiler)`` of the engine DRAM path, each None while
+        #: disabled; None while both are (one check per request when off).
+        self._hooks = None
         self.traffic = TrafficStats()
         # Read-latency distributions, split the same way the traffic
         # counters are: metadata reads sit on the verification critical
@@ -51,10 +54,6 @@ class MemoryController:
         self.hists = HistogramSet()
         self._h_data = self.hists.get("read.data")
         self._h_meta = self.hists.get("read.metadata")
-
-    #: ``(tracer, profiler)`` of the engine DRAM path, each None while
-    #: disabled; None while both are (one check per request when off).
-    _hooks = None
 
     def set_tracer(self, tracer) -> None:
         self.dram.tracer = tracer
@@ -125,7 +124,7 @@ class MemoryController:
         if profiling:
             prof.pop()
 
-    # -- engine DRAM path ------------------------------------------------------
+    # -- engine DRAM path -----------------------------------------------------
 
     def bind_engine_ops(self, estats):
         """The engine's (read_data, read_meta, write_data, write_meta).

@@ -42,10 +42,12 @@ class SecureMemoryEngine(ABC):
     """Base class: owns DRAM, metadata caches and shared accounting."""
 
     name = "abstract"
-    tracer = NULL_TRACER
-    profiler = NULL_PROFILER
 
     def __init__(self, config: MachineConfig, seed: int = 11) -> None:
+        # Set per instance: the per-call hook guards load them, and
+        # instance attribute loads are the fast ones.
+        self.tracer = NULL_TRACER
+        self.profiler = NULL_PROFILER
         self.config = config
         self.mc = MemoryController(config.dram)
         self.stats = EngineStats()

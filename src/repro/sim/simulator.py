@@ -99,8 +99,6 @@ class Simulator:
             "llc": self.hists.get("req.llc_hit"),
             "mem": self.hists.get("req.llc_miss"),
         }
-        self._class_name = {"l1": "l1_hit", "l2": "l2_hit",
-                            "llc": "llc_hit", "mem": "llc_miss"}
         self._h_fault = self.hists.get("page_fault")
         self._h_walk = self.hists.get("tlb_walk")
         self.tracer = NULL_TRACER
