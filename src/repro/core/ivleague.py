@@ -287,13 +287,13 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
             paddrs = geo.path_addrs(ref.treeling, ref.level,
                                     ref.node_index)
         else:
-            rec = self._path_memo.get(slot_id)
-            if rec is None:
+            paddrs = self._path_memo.get(slot_id)
+            if paddrs is None or tracing:
                 ref = geo.decode_slot(slot_id)
-                rec = self._path_memo[slot_id] = (ref, geo.path_addrs(
-                    ref.treeling, ref.level, ref.node_index))
-                self.tree_cache.prime_candidates(rec[1])
-            ref, paddrs = rec
+            if paddrs is None:
+                paddrs = self._path_memo[slot_id] = geo.path_addrs(
+                    ref.treeling, ref.level, ref.node_index)
+                self.tree_cache.prime_candidates(paddrs)
         clock += read_meta(ctr_addr, clock)
         visited = 1
         tree_cache = self.tree_cache
