@@ -265,7 +265,6 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
             tracer.instant("tree", "counter_miss", ts=now, pfn=pfn)
         clock = now
         read_meta = self._read_meta
-        write_meta = self._write_meta
         # On-chip LMM cache probe; a miss reads the PTE block.
         slot_id = self.lmm_cache.lookup(pfn)
         if slot_id is not None:
@@ -295,29 +294,13 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
                     ref.treeling, ref.level, ref.node_index)
                 self.tree_cache.prime_candidates(paddrs)
         clock += read_meta(ctr_addr, clock)
-        visited = 1
-        tree_cache = self.tree_cache
-        hash_lat = self._hash_lat
-        for addr in paddrs:
-            if tree_cache.lookup(addr, for_write):
-                break  # trusted on-chip copy terminates the walk
-            visited += 1
-            stats.tree_node_dram_reads += 1
-            if tracing:
-                tracer.instant("tree", "node", ts=clock,
-                               level=ref.level + visited - 2, addr=addr,
-                               treeling=ref.treeling)
-            clock += read_meta(addr, clock) + hash_lat
-            wb = tree_cache.fill_absent(addr, for_write)
-            if wb is not None:
-                write_meta(wb, clock)
-        # level > height: verified against the locked (on-chip) parent of
+        # The walk ends at the latest at the locked (on-chip) parent of
         # the TreeLing root -- no in-memory sharing with other domains.
-        self._record_path(domain, visited)
-        wb = self.counter_cache.fill_absent(ctr_addr, for_write)
-        if wb is not None:
-            write_meta(wb, clock)
-        return clock - now
+        if tracing:
+            return self._walk(domain, ctr_addr, paddrs, now, clock,
+                              for_write, ref.level - 1,
+                              {"treeling": ref.treeling})
+        return self._walk(domain, ctr_addr, paddrs, now, clock, for_write)
 
     # -- Fig. 17b metrics -----------------------------------------------------------------------
 

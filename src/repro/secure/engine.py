@@ -178,6 +178,41 @@ class SecureMemoryEngine(ABC):
         rec[0] += 1
         rec[1] += visited
 
+    def _walk(self, domain: int, ctr_addr: int, paddrs, now: float,
+              clock: float, for_write: bool, level0: int = 0,
+              trace: dict | None = None) -> float:
+        """The shared tail of every verify path after a counter miss:
+        walk ``paddrs`` (leaf first, on-chip root excluded) from
+        ``clock`` up to the first cached, hence trusted, node, record
+        the path, fill the counter block and return the latency since
+        ``now``.  ``trace`` is None while tracing is off, else the extra
+        args of each ``tree/node`` event (whose level is ``level0`` plus
+        the node's 1-based position on the path)."""
+        stats = self.stats
+        read_meta = self._read_meta
+        write_meta = self._write_meta
+        tree_cache = self.tree_cache
+        hash_lat = self._hash_lat
+        visited = 1  # the trusted terminator (cached node or root)
+        for addr in paddrs:
+            if tree_cache.lookup(addr, for_write):
+                break
+            visited += 1
+            stats.tree_node_dram_reads += 1
+            if trace is not None:
+                self.tracer.instant("tree", "node", ts=clock,
+                                    level=level0 + visited - 1, addr=addr,
+                                    **trace)
+            clock += read_meta(addr, clock) + hash_lat
+            wb = tree_cache.fill_absent(addr, for_write)
+            if wb is not None:
+                write_meta(wb, clock)
+        self._record_path(domain, visited)
+        wb = self.counter_cache.fill_absent(ctr_addr, for_write)
+        if wb is not None:
+            write_meta(wb, clock)
+        return clock - now
+
     def set_tracer(self, tracer) -> None:
         """Install ``tracer`` on this engine and everything behind it."""
         self.tracer = tracer
@@ -411,28 +446,8 @@ class BaselineEngine(SecureMemoryEngine):
         stats.counter_misses += 1
         if tracing:
             tracer.instant("tree", "counter_miss", ts=now, pfn=pfn)
-        read_meta = self._read_meta
-        write_meta = self._write_meta
-        clock = now + read_meta(ctr_addr, now)
-        visited = 1  # the trusted terminator (cached node or root)
-        # path_addrs excludes the on-chip root, so every address here is
-        # a real candidate fetch.
-        tree_cache = self.tree_cache
-        hash_lat = self._hash_lat
-        for addr in rec[1]:
-            if tree_cache.lookup(addr, for_write):
-                break  # verified against an on-chip (trusted) copy
-            visited += 1
-            stats.tree_node_dram_reads += 1
-            if tracing:
-                tracer.instant("tree", "node", ts=clock,
-                               level=visited - 1, addr=addr)
-            clock += read_meta(addr, clock) + hash_lat
-            wb = tree_cache.fill_absent(addr, for_write)
-            if wb is not None:
-                write_meta(wb, clock)
-        self._record_path(domain, visited)
-        wb = self.counter_cache.fill_absent(ctr_addr, for_write)
-        if wb is not None:
-            write_meta(wb, clock)
-        return clock - now
+        # path_addrs excludes the on-chip root, so every address on the
+        # walk is a real candidate fetch.
+        return self._walk(domain, ctr_addr, rec[1], now,
+                          now + self._read_meta(ctr_addr, now), for_write,
+                          trace={} if tracing else None)

@@ -114,30 +114,10 @@ class StaticPartitionEngine(SecureMemoryEngine):
                 tracer.instant("tree", "counter_hit", ts=now, pfn=pfn)
             return self._ctr_hit_lat
         stats.counter_misses += 1
+        trace = None
         if tracing:
-            part = self._partition_of[domain]
-            tracer.instant("tree", "counter_miss", ts=now, pfn=pfn,
-                           partition=part)
-        read_meta = self._read_meta
-        write_meta = self._write_meta
-        clock = now + read_meta(ctr_addr, now)
-        visited = 1
-        tree_cache = self.tree_cache
-        hash_lat = self._hash_lat
-        for addr in rec[1]:
-            if tree_cache.lookup(addr, for_write):
-                break  # verified against an on-chip copy (or the root)
-            visited += 1
-            stats.tree_node_dram_reads += 1
-            if tracing:
-                tracer.instant("tree", "node", ts=clock, level=visited - 1,
-                               addr=addr, partition=part)
-            clock += read_meta(addr, clock) + hash_lat
-            wb = tree_cache.fill_absent(addr, for_write)
-            if wb is not None:
-                write_meta(wb, clock)
-        self._record_path(domain, visited)
-        wb = self.counter_cache.fill_absent(ctr_addr, for_write)
-        if wb is not None:
-            write_meta(wb, clock)
-        return clock - now
+            trace = {"partition": self._partition_of[domain]}
+            tracer.instant("tree", "counter_miss", ts=now, pfn=pfn, **trace)
+        return self._walk(domain, ctr_addr, rec[1], now,
+                          now + self._read_meta(ctr_addr, now), for_write,
+                          trace=trace)
