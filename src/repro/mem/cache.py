@@ -174,7 +174,7 @@ class Cache:
         else:
             self.fill(addr, locked=True)
 
-    # -- known-absent fills ---------------------------------------------------
+    # -- candidate priming and known-absent fills ----------------------------
 
     def prime_candidates(self, addrs) -> None:
         """Hook for randomized caches: pre-compute hashed set candidates
