@@ -1,54 +1,41 @@
-"""Batched-vs-scalar core lockstep equivalence.
+"""Lockstep equivalence of the simulator's plain and instrumented runs.
 
-The batched core (:mod:`repro.sim.batched`) promises *bit-identical*
-results to the scalar reference core -- not "statistically equal", equal
-as Python objects.  Every engine in the registry runs the same seeded
-stream through both cores; the suite compares
+The core loop (``Simulator._core_gen``) reads the tracer's and the
+profiler's ``enabled`` flags once per drain and branches on the local
+copies; the engines and cache models guard their hooks the same way.
+Instrumentation must observe, never steer, so every engine in the
+registry runs the golden M-2 cell (400 accesses, seed 3, warmup 100)
+twice -- plain, and with an ``EventTracer`` and a ``PhaseProfiler``
+installed -- and the suite compares, as Python objects,
 
-* the full ``RunResult.to_dict()`` (per-core stats, engine stats,
-  per-class latency summaries),
-* the complete registry snapshot (every counter of every component),
+* per-drain registry checkpoints (the warmup drain and the main drain),
+  so a divergence is localised to the drain that introduced it,
+* the final registry snapshot,
 * the per-class latency histogram buckets, and
-* per-drain checkpoints (a snapshot at the warmup boundary and at the
-  end, in the style of the PR-4 oracle's periodic checkpoints), so a
-  divergence is localised to the drain that introduced it.
+* the full ``RunResult.to_dict()``.
 
-The workload deliberately exercises the scalar fallbacks: a churny mix
-drives page frees/refaults and TLB shootdowns through the slow path
-while the surrounding accesses flow through the flattened fast path.
+The plain run itself is pinned bit for bit by ``tests/test_golden.py``.
+A second check pins that a stock mix long enough to cross its own churn
+boundary really takes the churn path alongside ordinary accesses.
 """
 
 import pytest
 
 from repro.experiments.parallel import resolve_engine
-from repro.sim.batched import (BatchedSimulator, core_from_env,
-                               make_simulator)
 from repro.sim.config import tiny_config
+from repro.sim.profiler import PhaseProfiler
 from repro.sim.simulator import Simulator
+from repro.sim.trace import EventTracer
 from repro.workloads.mixes import build_mix
-
-#: All nine engines across the five scheme families (paper engines,
-#: comparators, bit-vector allocator ablations).
-ALL_NINE = [
-    "baseline",
-    "ivleague-basic",
-    "ivleague-invert",
-    "ivleague-pro",
-    "ivleague-bv1",
-    "ivleague-bv2",
-    "sgx-counter-tree",
-    "vault",
-    "static-partition",
-]
+from tests import test_golden as golden
 
 
-def _run_core(cls, scheme, mix="M-2", n_accesses=400, seed=3, warmup=100):
-    cfg = tiny_config(n_cores=4)
-    engine = resolve_engine(scheme)(cfg, seed=11)
-    workload = build_mix(mix, n_accesses=n_accesses, seed=seed, scale=0.05)
-    frame_policy = ("sequential" if scheme.startswith("static-partition")
-                    else "fragmented")
-    sim = cls(cfg, engine, seed=seed, frame_policy=frame_policy)
+def _run(scheme, instrumented):
+    tracer = EventTracer(limit=None) if instrumented else None
+    profiler = PhaseProfiler() if instrumented else None
+    sim, workload = golden.build(scheme, "M-2",
+                                 golden.default_policy(scheme),
+                                 tracer=tracer, profiler=profiler)
     checkpoints = []
     orig_drain = sim._drain
 
@@ -57,113 +44,47 @@ def _run_core(cls, scheme, mix="M-2", n_accesses=400, seed=3, warmup=100):
         checkpoints.append(sim.registry.snapshot())
 
     sim._drain = checkpointed_drain
-    result = sim.run(workload, warmup=warmup)
-    hists = {name: h.to_dict() for name, h in sim._class_hist.items()}
-    return result, sim.registry.snapshot(), hists, checkpoints
+    result = sim.run(workload, warmup=golden.WARMUP)
+    if instrumented:
+        assert tracer.events(), "the tracer recorded nothing"
+        assert profiler.phase_calls, "the profiler measured nothing"
+    return (result.to_dict(), sim.registry.snapshot(),
+            golden.hist_state(sim), checkpoints)
 
 
-@pytest.mark.parametrize("scheme", ALL_NINE)
+@pytest.mark.parametrize("scheme", golden.ENGINES)
 def test_lockstep_bit_identical(scheme):
-    scalar = _run_core(Simulator, scheme)
-    batched = _run_core(BatchedSimulator, scheme)
-    s_res, s_reg, s_hist, s_ckpt = scalar
-    b_res, b_reg, b_hist, b_ckpt = batched
+    p_res, p_reg, p_hist, p_ckpt = _run(scheme, instrumented=False)
+    i_res, i_reg, i_hist, i_ckpt = _run(scheme, instrumented=True)
     # Checkpoints first: a warmup-drain divergence shows up here even
     # when it happens to cancel out of the final statistics.
-    assert len(s_ckpt) == len(b_ckpt) == 2   # warmup drain + main drain
-    for i, (s, b) in enumerate(zip(s_ckpt, b_ckpt)):
-        assert s == b, f"registry diverged at drain checkpoint {i}"
-    assert s_reg == b_reg
-    assert s_hist == b_hist, "per-class latency histogram buckets differ"
-    assert s_res.to_dict() == b_res.to_dict()
+    assert len(p_ckpt) == len(i_ckpt) == 2   # warmup drain + main drain
+    for i, (p, t) in enumerate(zip(p_ckpt, i_ckpt)):
+        assert p == t, f"registry diverged at drain checkpoint {i}"
+    assert p_reg == i_reg
+    assert p_hist == i_hist, "per-class latency histogram buckets differ"
+    assert p_res == i_res
 
 
 def test_churny_stream_takes_both_paths():
-    """The equivalence test is vacuous if the batched core never takes
-    its fast path (everything falls back to the scalar step) or never
-    falls back.  Page faults and TLB walks are handled inline now, so
-    the remaining scalar fallback is the churn path: pin it on a stream
-    long enough to cross a churn boundary (M-1's dedup churns every
-    1500 accesses)."""
+    """The golden churn cells force a short ``churn_every``; a stock mix
+    must reach the churn path on its own too.  M-1's dedup churns every
+    1500 accesses, so a 1600-access stream crosses one boundary per
+    core while most accesses stay on the ordinary path."""
     cfg = tiny_config(n_cores=4)
     engine = resolve_engine("ivleague-basic")(cfg, seed=11)
     workload = build_mix("M-1", n_accesses=1600, seed=3, scale=0.05)
-    sim = BatchedSimulator(cfg, engine, seed=3, frame_policy="fragmented")
-    steps = []
-    orig = sim._step
+    sim = Simulator(cfg, engine, seed=3, frame_policy="fragmented")
+    churns = []
+    orig = sim._churn
 
-    def counting_step(ci, st):
-        steps.append(ci)
-        orig(ci, st)
+    def counting_churn(state, now):
+        churns.append(state.domain)
+        return orig(state, now)
 
-    sim._step = counting_step
+    sim._churn = counting_churn
     result = sim.run(workload, warmup=100)
-    total = sum(c.mem_accesses for c in result.cores)
-    assert steps, "no access ever took the scalar fallback (churn)"
     # mem_accesses excludes warmup, so compare against the full stream
-    assert len(steps) < 4 * 1600, "every access fell back to the scalar step"
-    assert total > 0
-
-
-def test_tracing_routes_through_scalar_core():
-    """An installed tracer must disable the flattened path (it skips the
-    per-event trace hooks); the drain falls back wholesale."""
-    from repro.sim.trace import EventTracer
-
-    cfg = tiny_config(n_cores=4)
-    engine = resolve_engine("baseline")(cfg, seed=11)
-    workload = build_mix("S-1", n_accesses=120, seed=0, scale=0.05)
-    tracer = EventTracer()
-    sim = BatchedSimulator(cfg, engine, seed=0, tracer=tracer)
-    steps = []
-    orig = sim._step
-
-    def counting_step(ci, st):
-        steps.append(ci)
-        orig(ci, st)
-
-    sim._step = counting_step
-    sim.run(workload)
-    assert len(steps) == 4 * 120   # every access through the scalar step
-
-
-def test_subclassed_cache_disables_inline_path():
-    """The flattened step bakes in plain-Cache replacement; a subclassed
-    L1 must force the scalar route rather than silently mis-modelling."""
-    from repro.mem.cache import Cache
-
-    class WeirdCache(Cache):
-        pass
-
-    cfg = tiny_config(n_cores=2)
-    engine = resolve_engine("baseline")(cfg, seed=11)
-    sim = BatchedSimulator(cfg, engine, seed=0)
-    assert sim._inline_safe()
-    old = sim.hierarchy.l1[0]
-    sim.hierarchy.l1[0] = WeirdCache(old.config, name=old.name)
-    assert not sim._inline_safe()
-
-
-class TestCoreSelection:
-    def test_default_is_batched(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CORE", raising=False)
-        assert core_from_env() == "batched"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORE", "scalar")
-        assert core_from_env() == "scalar"
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORE", "vectorised")
-        with pytest.raises(ValueError):
-            core_from_env()
-
-    def test_make_simulator_classes(self):
-        cfg = tiny_config(n_cores=2)
-        eng = resolve_engine("baseline")(cfg, seed=11)
-        assert type(make_simulator("scalar", cfg, eng)) is Simulator
-        eng2 = resolve_engine("baseline")(cfg, seed=11)
-        assert type(make_simulator("batched", cfg, eng2)) \
-            is BatchedSimulator
-        with pytest.raises(ValueError):
-            make_simulator("gpu", cfg, eng)
+    assert churns, "no access ever crossed a churn boundary"
+    assert len(churns) < 4 * 1600, "every access took the churn path"
+    assert sum(c.mem_accesses for c in result.cores) > 0

@@ -18,6 +18,8 @@ reach (way-locked and fully locked sets):
   included);
 * ``touch_dirty`` must equal the ``contains`` + ``lookup(is_write=True)``
   pair it fused (the SGX counter-tree dirty-walk regression);
+* every engine's memoized verify path must equal a path resolved afresh
+  on every access, on the golden M-2 cell;
 * an instance-level ``_verify_path`` and a metadata cache swapped in
   after construction both take effect.
 """
@@ -31,6 +33,7 @@ from repro.mem.cache import Cache
 from repro.mem.mirage import MirageCache
 from repro.sim.config import CacheConfig, tiny_config
 from repro.sim.trace import EventTracer
+from tests import test_golden as golden
 
 #: Small geometry so a few hundred addresses generate real conflict
 #: pressure (evictions, write-backs, power-of-two-choices imbalance).
@@ -187,6 +190,38 @@ def test_sgx_dirty_walk_probes_each_node_once():
     eng.data_access(0, 5, 1, True, 100.0)
     assert calls["touch"] == 1
     assert calls["contains"] == 0
+
+
+class _RecomputingMemo(dict):
+    """A verify-path memo that never hits: every access resolves its
+    path afresh (entries are still stored, for readers that index the
+    memo right after ``_verify_path`` built the entry)."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def _run_engine(scheme, memoized):
+    sim, workload = golden.build(scheme, "M-2",
+                                 golden.default_policy(scheme))
+    if not memoized:
+        sim.engine._path_memo = _RecomputingMemo()
+    result = sim.run(workload, warmup=golden.WARMUP)
+    return (result.to_dict(), sim.registry.snapshot(),
+            golden.hist_state(sim))
+
+
+@pytest.mark.parametrize("scheme", golden.ENGINES)
+def test_engine_fast_path_bit_identical(scheme):
+    """Every engine: the memoized verify path and a path resolved afresh
+    on every access yield equal results, registry snapshots and
+    histogram buckets -- each memo entry is a pure function of its key,
+    as the memo's invalidation-free design assumes."""
+    m_res, m_reg, m_hist = _run_engine(scheme, memoized=True)
+    r_res, r_reg, r_hist = _run_engine(scheme, memoized=False)
+    assert m_reg == r_reg
+    assert m_hist == r_hist, "per-class latency histogram buckets differ"
+    assert m_res == r_res
 
 
 def test_instance_verify_patch_takes_effect():
