@@ -116,13 +116,13 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
                     now: float) -> float:
         """Charge NFLB lookups for the NFL blocks an operation touched."""
         nflb = self._nflb[domain]
-        tracing = self.tracer.enabled
+        tracer = self._hooks[0]
         lat = 0.0
         for addr in touched:
             hit, evicted = nflb.access(addr)
-            if tracing:
-                self.tracer.instant("nfl", "hit" if hit else "miss",
-                                    ts=now + lat, domain=domain, addr=addr)
+            if tracer is not None:
+                tracer.instant("nfl", "hit" if hit else "miss",
+                               ts=now + lat, domain=domain, addr=addr)
             if hit:
                 self.stats.nflb_hits += 1
             else:
@@ -253,15 +253,14 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
             return 0.0
         ctr_addr = self._ctr_base | pfn
         stats = self.stats
-        tracer = self.tracer
-        tracing = tracer.enabled
+        tracer = self._hooks[0]
         if self.counter_cache.lookup(ctr_addr, for_write):
             stats.counter_hits += 1
-            if tracing:
+            if tracer is not None:
                 tracer.instant("tree", "counter_hit", ts=now, pfn=pfn)
             return self._ctr_hit_lat
         stats.counter_misses += 1
-        if tracing:
+        if tracer is not None:
             tracer.instant("tree", "counter_miss", ts=now, pfn=pfn)
         clock = now
         read_meta = self._read_meta
@@ -269,12 +268,12 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
         slot_id = self.lmm_cache.lookup(pfn)
         if slot_id is not None:
             stats.lmm_hits += 1
-            if tracing:
+            if tracer is not None:
                 tracer.instant("engine", "lmm_hit", ts=clock, pfn=pfn)
             clock += self._lmm_hit_lat
         else:
             stats.lmm_misses += 1
-            if tracing:
+            if tracer is not None:
                 tracer.instant("engine", "lmm_miss", ts=clock, pfn=pfn)
             clock += read_meta(self.leafmap.pte_block_addr(pfn), clock)
             slot_id = self.leafmap.get(pfn)
@@ -287,7 +286,7 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
                                     ref.node_index)
         else:
             paddrs = self._path_memo.get(slot_id)
-            if paddrs is None or tracing:
+            if paddrs is None or tracer is not None:
                 ref = geo.decode_slot(slot_id)
             if paddrs is None:
                 paddrs = self._path_memo[slot_id] = geo.path_addrs(
@@ -296,7 +295,7 @@ class IvLeagueBasicEngine(SecureMemoryEngine):
         clock += read_meta(ctr_addr, clock)
         # The walk ends at the latest at the locked (on-chip) parent of
         # the TreeLing root -- no in-memory sharing with other domains.
-        if tracing:
+        if tracer is not None:
             return self._walk(domain, ctr_addr, paddrs, now, clock,
                               for_write, ref.level - 1,
                               {"treeling": ref.treeling})

@@ -126,33 +126,38 @@ class Cache:
             return None
         victim = None
         if len(s) >= self.assoc:
-            if self._locked:
-                victim = self._pick_victim(s)
-                if victim is None:
-                    return None  # fully locked set: drop the fill
-                vdirty = s.pop(victim)[0]
-            else:
-                # LRU head; nothing is locked.  popitem(last=False) is
-                # the fused form of next(iter(s)) + pop(victim).
-                victim, ventry = s.popitem(last=False)
-                vdirty = ventry[0]
-            self.evictions += 1
-            if vdirty:
-                self.writebacks += 1
-            if self.tracer.enabled:
-                self.tracer.instant("cache", "evict", cache=self.name,
-                                    addr=victim, dirty=vdirty)
-            victim = Eviction(victim, vdirty)
+            ev = self._evict(s)
+            if ev is None:
+                return None  # fully locked set: drop the fill
+            victim = Eviction(*ev)
         if locked:
             self._locked += 1
         s[addr] = [dirty, locked]
         return victim
 
-    def _pick_victim(self, s: OrderedDict[int, list]) -> Optional[int]:
-        for addr, (_, locked) in s.items():  # iteration order = LRU first
-            if not locked:
-                return addr
-        return None
+    def _evict(self, s: OrderedDict[int, list]) -> Optional[tuple]:
+        """Make room in the full set ``s`` for a fill: drop its LRU
+        unlocked entry, count the eviction (and write-back) and emit the
+        ``evict`` event.  Returns ``(victim, dirty)``, or None when every
+        way is locked (the fill is then dropped)."""
+        if self._locked:
+            # iteration order = LRU first
+            victim = next((a for a, e in s.items() if not e[1]), None)
+            if victim is None:
+                return None
+            vdirty = s.pop(victim)[0]
+        else:
+            # LRU head; nothing is locked.  popitem(last=False) is the
+            # fused form of next(iter(s)) + pop(victim).
+            victim, ventry = s.popitem(last=False)
+            vdirty = ventry[0]
+        self.evictions += 1
+        if vdirty:
+            self.writebacks += 1
+        if self.tracer.enabled:
+            self.tracer.instant("cache", "evict", cache=self.name,
+                                addr=victim, dirty=vdirty)
+        return victim, vdirty
 
     def invalidate(self, addr: int) -> bool:
         s = self._sets[self.set_index(addr)]
@@ -188,21 +193,11 @@ class Cache:
         s = self._sets[addr % self.n_sets]
         wb = None
         if len(s) >= self.assoc:
-            if self._locked:
-                victim = self._pick_victim(s)
-                if victim is None:
-                    return None  # fully locked set: drop the fill
-                vdirty = s.pop(victim)[0]
-            else:
-                victim, ventry = s.popitem(last=False)
-                vdirty = ventry[0]
-            self.evictions += 1
-            if vdirty:
-                self.writebacks += 1
-                wb = victim
-            if self.tracer.enabled:
-                self.tracer.instant("cache", "evict", cache=self.name,
-                                    addr=victim, dirty=vdirty)
+            ev = self._evict(s)
+            if ev is None:
+                return None  # fully locked set: drop the fill
+            if ev[1]:
+                wb = ev[0]
         s[addr] = [dirty, False]
         return wb
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from repro.mem.spaces import block_of, space_of
 from repro.sim.config import DRAMConfig
-from repro.sim.trace import NULL_TRACER
 
 
 @dataclass
@@ -43,9 +42,13 @@ class DRAMStats:
 
 
 class DRAM:
-    """Channel/rank/bank DRAM with open-row policy."""
+    """Channel/rank/bank DRAM with open-row policy.
 
-    tracer = NULL_TRACER
+    :meth:`read`/:meth:`write` are the device-level reference model; the
+    simulator's requests take the :class:`~repro.mem.memctrl.MemoryController`
+    closures, which inline the same arithmetic on this object's state
+    and carry the ``dram`` trace events.
+    """
 
     def __init__(self, config: DRAMConfig) -> None:
         self.config = config
@@ -106,9 +109,8 @@ class DRAM:
         bank, row = br if br is not None else self.bank_and_row(addr)
         busy = self._busy_until[bank]
         start = now if now >= busy else busy
-        # Explicit hit flag: inferring it back from ``latency ==
-        # row_hit_latency`` mislabels hits whenever the configured
-        # latencies coincide (e.g. t_rp = t_rcd = 0 sweeps).
+        # Classify by the open row, never by the latency value: hit and
+        # miss latencies coincide in some sweeps (t_rp = t_rcd = 0).
         stats = self.stats
         if self._open_row[bank] == row:
             latency = self._hit_lat
@@ -116,20 +118,14 @@ class DRAM:
             # The bank stays occupied for the burst only; the next row
             # hit can pipeline behind the column access.
             self._busy_until[bank] = start + self._t_burst
-            hit = True
         else:
             latency = self._miss_lat
             stats.row_misses += 1
             self._open_row[bank] = row
             self._busy_until[bank] = start + self._miss_occupancy
-            hit = False
         total = start + latency - now
         stats.reads += 1
         stats.total_read_latency += total
-        if self.tracer.enabled:
-            self.tracer.complete(
-                "dram", "read", ts=now, dur=total, bank=bank, row=row,
-                row_hit=hit, space=space_of(addr))
         return total
 
     def write(self, addr: int, now: float) -> None:
@@ -140,16 +136,10 @@ class DRAM:
         start = now if now >= busy else busy
         stats = self.stats
         if self._open_row[bank] == row:
-            self.stats.row_hits += 1
+            stats.row_hits += 1
             self._busy_until[bank] = start + self._t_burst
-            hit = True
         else:
             stats.row_misses += 1
             self._open_row[bank] = row
             self._busy_until[bank] = start + self._miss_occupancy
-            hit = False
         stats.writes += 1
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "dram", "write", ts=now, bank=bank, row=row,
-                row_hit=hit, space=space_of(addr))

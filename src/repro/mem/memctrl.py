@@ -2,8 +2,8 @@
 
 Thin layer between the on-chip world and :class:`repro.mem.dram.DRAM`:
 it separates data traffic from metadata traffic for accounting (Fig. 19
-normalises *total* memory accesses) and exposes the read/write interface
-the secure engines use.
+normalises *total* memory accesses) and builds the request closures the
+secure engines and the page-table walks use.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from repro.mem.spaces import DATA, SPACE_SHIFT, space_of
 from repro.sim.config import DRAMConfig
 from repro.sim.hist import HistogramSet
 from repro.sim.profiler import NULL_PROFILER
+from repro.sim.stats import EngineStats
+from repro.sim.trace import NULL_TRACER, hook_pair
 
 #: Tagged addresses at or above this value live in a metadata space
 #: (``spaces.DATA`` is space 0, so the comparison replaces the
@@ -36,17 +38,21 @@ class TrafficStats:
 
 
 class MemoryController:
-    """Routes block requests to DRAM and keeps traffic accounting."""
+    """Routes block requests to DRAM and keeps traffic accounting.
 
-    #: Class-level default so the hot path never None-checks; the
-    #: simulator installs a real profiler instance-wide when profiling.
-    profiler = NULL_PROFILER
+    Every request takes one of the four closures built by
+    :meth:`_request_ops`: the engine's (from :meth:`bind_engine_ops`)
+    and the controller's own (:meth:`read`/:meth:`write`, which serve
+    the page-table walks).  :meth:`DRAM.read`/:meth:`DRAM.write` remain
+    the device-level reference the closures inline.
+    """
 
     def __init__(self, config: DRAMConfig) -> None:
         self.dram = DRAM(config)
-        #: ``(tracer, profiler)`` of the engine DRAM path, each None while
-        #: disabled; None while both are (one check per request when off).
-        self._hooks = None
+        self.tracer = NULL_TRACER
+        self.profiler = NULL_PROFILER
+        #: ``hook_pair(tracer, profiler)``, read once per request.
+        self._hooks = (None, None)
         self.traffic = TrafficStats()
         # Read-latency distributions, split the same way the traffic
         # counters are: metadata reads sit on the verification critical
@@ -54,20 +60,18 @@ class MemoryController:
         self.hists = HistogramSet()
         self._h_data = self.hists.get("read.data")
         self._h_meta = self.hists.get("read.metadata")
+        # Requests the engine does not see (page-table walks) count into
+        # this unregistered sink instead of the engine's counters.
+        (self._read_data, self._read_meta, self._write_data,
+         self._write_meta) = self._request_ops(EngineStats())
 
     def set_tracer(self, tracer) -> None:
-        self.dram.tracer = tracer
-        self._update_hooks()
+        self.tracer = tracer
+        self._hooks = hook_pair(tracer, self.profiler)
 
     def set_profiler(self, profiler) -> None:
         self.profiler = profiler
-        self._update_hooks()
-
-    def _update_hooks(self) -> None:
-        tracer = self.dram.tracer if self.dram.tracer.enabled else None
-        prof = self.profiler if self.profiler.enabled else None
-        self._hooks = (None if tracer is None and prof is None
-                       else (tracer, prof))
+        self._hooks = hook_pair(self.tracer, profiler)
 
     def register_stats(self, registry) -> None:
         """Register the traffic split and the DRAM device counters, plus
@@ -94,51 +98,37 @@ class MemoryController:
             lambda: self.dram.stats.reads + self.dram.stats.writes)
 
     def read(self, addr: int, now: float) -> float:
-        prof = self.profiler
-        profiling = prof.enabled
-        if profiling:
-            prof.push("dram")
-        traffic = self.traffic
+        """A read the engine does not attribute (page-table walks)."""
         if addr >= _METADATA_BASE:
-            traffic.metadata_reads += 1
-            lat = self.dram.read(addr, now)
-            self._h_meta.record(lat)
-        else:
-            traffic.data_reads += 1
-            lat = self.dram.read(addr, now)
-            self._h_data.record(lat)
-        if profiling:
-            prof.pop()
-        return lat
+            return self._read_meta(addr, now)
+        return self._read_data(addr, now)
 
     def write(self, addr: int, now: float) -> None:
-        prof = self.profiler
-        profiling = prof.enabled
-        if profiling:
-            prof.push("dram")
+        """A posted write the engine does not attribute."""
         if addr >= _METADATA_BASE:
-            self.traffic.metadata_writes += 1
+            self._write_meta(addr, now)
         else:
-            self.traffic.data_writes += 1
-        self.dram.write(addr, now)
-        if profiling:
-            prof.pop()
+            self._write_data(addr, now)
 
     # -- engine DRAM path -----------------------------------------------------
 
     def bind_engine_ops(self, estats):
-        """The engine's (read_data, read_meta, write_data, write_meta).
+        """The engine's (read_data, read_meta, write_data, write_meta),
+        counting into ``estats`` (the engine's :class:`EngineStats`)."""
+        return self._request_ops(estats)
 
-        Each closure collapses the controller layer, the DRAM open-row
-        timing model and the engine's own dram_* attribution counters
-        (``estats`` is the engine's :class:`EngineStats`) into one call.
-        The data/metadata classification is fixed per closure, so the
-        ``_METADATA_BASE`` compare disappears from the per-request path.
-        The arithmetic is the same IEEE sequence as
-        :meth:`DRAM.read`/:meth:`DRAM.write`, and each closure emits the
-        same ``dram`` event and ``dram`` profiler phase as
-        :meth:`read`/:meth:`write`; the hooks are looked up per call, so
-        ``set_tracer``/``set_profiler`` after construction take effect.
+    def _request_ops(self, estats):
+        """(read_data, read_meta, write_data, write_meta) closures.
+
+        Each collapses the controller layer, the DRAM open-row timing
+        model and the ``estats`` dram_* attribution counters into one
+        call.  The data/metadata classification is fixed per closure, so
+        the ``_METADATA_BASE`` compare disappears from the per-request
+        path.  The arithmetic is the same IEEE sequence as
+        :meth:`DRAM.read`/:meth:`DRAM.write`.  Each closure emits the
+        ``dram`` trace event and the ``dram`` profiler phase; the hooks
+        are looked up per call, so ``set_tracer``/``set_profiler`` after
+        construction take effect.
         """
         mc = self
         dram = self.dram
@@ -157,11 +147,9 @@ class MemoryController:
             rec = (self._h_meta if meta else self._h_data).record
 
             def read(addr: int, now: float) -> float:
-                hooks = mc._hooks
-                if hooks is not None:
-                    tracer, prof = hooks
-                    if prof is not None:
-                        prof.push("dram")
+                tracer, prof = mc._hooks
+                if prof is not None:
+                    prof.push("dram")
                 if meta:
                     traffic.metadata_reads += 1
                     estats.dram_metadata_reads += 1
@@ -186,23 +174,20 @@ class MemoryController:
                 dstats.reads += 1
                 dstats.total_read_latency += total
                 rec(total)
-                if hooks is not None:
-                    if tracer is not None:
-                        tracer.complete(
-                            "dram", "read", ts=now, dur=total, bank=bank,
-                            row=row, row_hit=hit, space=space_of(addr))
-                    if prof is not None:
-                        prof.pop()
+                if tracer is not None:
+                    tracer.complete(
+                        "dram", "read", ts=now, dur=total, bank=bank,
+                        row=row, row_hit=hit, space=space_of(addr))
+                if prof is not None:
+                    prof.pop()
                 return total
             return read
 
         def make_write(meta: bool):
             def write(addr: int, now: float) -> None:
-                hooks = mc._hooks
-                if hooks is not None:
-                    tracer, prof = hooks
-                    if prof is not None:
-                        prof.push("dram")
+                tracer, prof = mc._hooks
+                if prof is not None:
+                    prof.push("dram")
                 if meta:
                     traffic.metadata_writes += 1
                     estats.dram_metadata_writes += 1
@@ -222,13 +207,12 @@ class MemoryController:
                     open_row[bank] = row
                     busy_until[bank] = start + miss_occ
                 dstats.writes += 1
-                if hooks is not None:
-                    if tracer is not None:
-                        tracer.instant(
-                            "dram", "write", ts=now, bank=bank, row=row,
-                            row_hit=hit, space=space_of(addr))
-                    if prof is not None:
-                        prof.pop()
+                if tracer is not None:
+                    tracer.instant(
+                        "dram", "write", ts=now, bank=bank, row=row,
+                        row_hit=hit, space=space_of(addr))
+                if prof is not None:
+                    prof.pop()
             return write
 
         return make_read(False), make_read(True), make_write(False), \

@@ -135,8 +135,8 @@ class MirageCache(Cache):
 
     def fill(self, addr: int, dirty: bool = False,
              locked: bool = False) -> Optional[Eviction]:
-        c0, c1 = self._candidates(addr)
-        for idx in (c0, c1):
+        cand = self._candidates(addr)
+        for idx in cand:
             entry = self._sets[idx].get(addr)
             if entry is not None:
                 entry[0] = entry[0] or dirty
@@ -144,47 +144,46 @@ class MirageCache(Cache):
                     entry[1] = True
                     self._locked += 1
                 return None
-        # Power-of-two-choices placement into the emptier skew.
-        if len(self._sets[c0]) <= len(self._sets[c1]):
-            idx = c0
+        s = self._place(addr, cand)
+        victim = None
+        if len(s) >= self.assoc:
+            ev = self._evict(s)
+            if ev is None:
+                return None  # fully locked set: drop the fill
+            victim = Eviction(*ev)
+        if locked:
+            self._locked += 1
+        s[addr] = [dirty, locked]
+        return victim
+
+    def _place(self, addr: int, cand: tuple[int, int]):
+        """Power-of-two-choices placement: the emptier of ``addr``'s two
+        candidate sets (ties go to skew 0), counted per skew.
+
+        The victim inside the chosen set is then the LRU one
+        (:meth:`Cache._evict`): MIRAGE's global eviction is
+        security-motivated; performance-wise it tracks an LRU-class
+        policy, which is what matters here.
+        """
+        sets = self._sets
+        s0 = sets[cand[0]]
+        s1 = sets[cand[1]]
+        if len(s0) <= len(s1):
+            s = s0
             skew = 0
             self.skew0_fills += 1
         else:
-            idx = c1
+            s = s1
             skew = 1
             self.skew1_fills += 1
         if self.tracer.enabled:
-            # MIRAGE's load-balanced placement depends on global set
+            # The load-balanced placement depends on global set
             # occupancy, i.e. on *other* domains' traffic -- exactly the
             # coupling the leakage checker needs to see, so the chosen
             # skew is an observable of its own.
             self.tracer.instant("cache", "place", cache=self.name,
                                 addr=addr, skew=skew)
-        s = self._sets[idx]
-        victim = None
-        if len(s) >= self.assoc:
-            # Reuse-aware (LRU) victim inside the randomized set: MIRAGE's
-            # global eviction is security-motivated; performance-wise it
-            # tracks an LRU-class policy, which is what matters here.
-            if self._locked:
-                vaddr = next((a for a, e in s.items() if not e[1]), None)
-                if vaddr is None:
-                    return None
-                vdirty = s.pop(vaddr)[0]
-            else:
-                vaddr, ventry = s.popitem(last=False)
-                vdirty = ventry[0]
-            self.evictions += 1
-            if vdirty:
-                self.writebacks += 1
-            if self.tracer.enabled:
-                self.tracer.instant("cache", "evict", cache=self.name,
-                                    addr=vaddr, dirty=vdirty)
-            victim = Eviction(vaddr, vdirty)
-        if locked:
-            self._locked += 1
-        s[addr] = [dirty, locked]
-        return victim
+        return s
 
     def touch_dirty(self, addr: int) -> bool:
         """Single-probe contains+dirty-lookup, mirroring
@@ -206,45 +205,19 @@ class MirageCache(Cache):
         return True
 
     def fill_absent(self, addr: int, dirty: bool = False) -> Optional[int]:
-        """Known-absent fill (power-of-two-choices placement, skew
-        counters, LRU victim) returning the dirty victim address or None;
-        same contract and events as :meth:`repro.mem.cache.Cache.fill_absent`
-        plus ``fill``'s ``place`` event."""
+        """Known-absent fill: :meth:`Cache.fill_absent` with ``fill``'s
+        skewed placement (and its ``place`` event)."""
         cand = self._cand.get(addr)
         if cand is None:
             cand = self._candidates(addr)
-        sets = self._sets
-        s0 = sets[cand[0]]
-        s1 = sets[cand[1]]
-        if len(s0) <= len(s1):
-            s = s0
-            skew = 0
-            self.skew0_fills += 1
-        else:
-            s = s1
-            skew = 1
-            self.skew1_fills += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.instant("cache", "place", cache=self.name, addr=addr,
-                           skew=skew)
+        s = self._place(addr, cand)
         wb = None
         if len(s) >= self.assoc:
-            if self._locked:
-                vaddr = next((a for a, e in s.items() if not e[1]), None)
-                if vaddr is None:
-                    return None
-                vdirty = s.pop(vaddr)[0]
-            else:
-                vaddr, ventry = s.popitem(last=False)
-                vdirty = ventry[0]
-            self.evictions += 1
-            if vdirty:
-                self.writebacks += 1
-                wb = vaddr
-            if tracer.enabled:
-                tracer.instant("cache", "evict", cache=self.name,
-                               addr=vaddr, dirty=vdirty)
+            ev = self._evict(s)
+            if ev is None:
+                return None  # fully locked set: drop the fill
+            if ev[1]:
+                wb = ev[0]
         s[addr] = [dirty, False]
         return wb
 

@@ -169,9 +169,8 @@ class SgxCounterTreeEngine(BaselineEngine):
                      for_write: bool) -> float:
         lat = super()._verify_path(domain, pfn, now, for_write)
         if for_write:
-            prof = self.profiler
-            profiling = prof.enabled
-            if profiling:
+            prof = self._hooks[1]
+            if prof is not None:
                 prof.push("tree_update")
             # counter-tree write: the path's nodes are dirtied up to the
             # first cached level (they hold incremented counters now).
@@ -186,6 +185,6 @@ class SgxCounterTreeEngine(BaselineEngine):
                 wb = tree_cache.fill_absent(addr, True)
                 if wb is not None:
                     self._write_meta(wb, fill_at)
-            if profiling:
+            if prof is not None:
                 prof.pop()
         return lat

@@ -26,7 +26,7 @@ from repro.sim.config import BLOCKS_PER_PAGE, MachineConfig
 from repro.sim.hist import HistogramSet
 from repro.sim.profiler import NULL_PROFILER
 from repro.sim.stats import EngineStats
-from repro.sim.trace import NULL_TRACER
+from repro.sim.trace import NULL_TRACER, hook_pair
 
 #: Writes to one page between modelled minor-counter overflows
 #: (7-bit minors overflow after 128 writes to one block; page-level we
@@ -44,10 +44,11 @@ class SecureMemoryEngine(ABC):
     name = "abstract"
 
     def __init__(self, config: MachineConfig, seed: int = 11) -> None:
-        # Set per instance: the per-call hook guards load them, and
-        # instance attribute loads are the fast ones.
         self.tracer = NULL_TRACER
         self.profiler = NULL_PROFILER
+        #: ``hook_pair(tracer, profiler)``: the per-call hook guards
+        #: read this one instance attribute (see ``set_tracer``).
+        self._hooks = (None, None)
         self.config = config
         self.mc = MemoryController(config.dram)
         self.stats = EngineStats()
@@ -216,6 +217,7 @@ class SecureMemoryEngine(ABC):
     def set_tracer(self, tracer) -> None:
         """Install ``tracer`` on this engine and everything behind it."""
         self.tracer = tracer
+        self._hooks = hook_pair(tracer, self.profiler)
         self.mc.set_tracer(tracer)
         for cache in (self.counter_cache, self.mac_cache, self.tree_cache):
             cache.tracer = tracer
@@ -225,6 +227,7 @@ class SecureMemoryEngine(ABC):
         (the DRAM controller's "dram" phase, the metadata caches'
         "mirage_hash" phase when they are randomized)."""
         self.profiler = profiler
+        self._hooks = hook_pair(self.tracer, profiler)
         self.mc.set_profiler(profiler)
         for cache in (self.counter_cache, self.mac_cache, self.tree_cache):
             cache.profiler = profiler
@@ -241,7 +244,8 @@ class SecureMemoryEngine(ABC):
     #
     # Every LLC-missing access funnels through ``data_access`` /
     # ``handle_writeback``.  Tracer and profiler hooks sit behind local
-    # ``if tracing:`` / ``if profiling:`` guards; metadata caches are
+    # ``if tracer is not None:`` / ``if prof is not None:`` guards on
+    # the ``_hooks`` pair, read once per call; metadata caches are
     # looked up on the instance per call, so a cache swapped in after
     # construction (the leakage checker's mutations) takes effect, and
     # so does an instance-level ``_verify_path`` (the oracle's faults).
@@ -249,9 +253,8 @@ class SecureMemoryEngine(ABC):
     def data_access(self, domain: int, pfn: int, block_in_page: int,
                     is_write: bool, now: float) -> float:
         """LLC-missing access: fetch data + metadata; returns latency."""
-        tracer = self.tracer
-        tracing = tracer.enabled
-        if tracing:
+        tracer, prof = self._hooks
+        if tracer is not None:
             # Engine entry point: everything emitted below (counter /
             # tree / MAC / DRAM events) belongs to this domain.
             tracer.cur_domain = domain
@@ -264,30 +267,28 @@ class SecureMemoryEngine(ABC):
             stats.data_reads += 1
         block = pfn * BLOCKS_PER_PAGE + block_in_page
         lat_data = self._read_data(block, now)  # DATA tag is 0
-        prof = self.profiler
-        profiling = prof.enabled
-        if profiling:
+        if prof is not None:
             prof.push("mac")
         # One MAC block covers 8 data blocks.
         mac_addr = self._mac_base | (block >> 3)
         if self.mac_cache.lookup(mac_addr, is_write):
             stats.mac_hits += 1
-            if tracing:
+            if tracer is not None:
                 tracer.instant("mac", "hit", ts=now, addr=mac_addr)
             lat_mac = self._mac_hit_lat
         else:
             stats.mac_misses += 1
-            if tracing:
+            if tracer is not None:
                 tracer.instant("mac", "miss", ts=now, addr=mac_addr)
             lat_mac = self._read_meta(mac_addr, now)
             wb = self.mac_cache.fill_absent(mac_addr, is_write)
             if wb is not None:
                 self._write_meta(wb, now)
-        if profiling:
+        if prof is not None:
             prof.pop()
             prof.push("verify")
         lat_meta = self._verify_path(domain, pfn, now, is_write)
-        if profiling:
+        if prof is not None:
             prof.pop()
         # Decryption needs the verified counter; OTP generation overlaps
         # the data fetch, so only the residual AES latency serialises.
@@ -295,7 +296,7 @@ class SecureMemoryEngine(ABC):
         lat = max(lat_data, lat_mac, lat_meta)
         self._h_verify.record(lat_meta)
         self._h_access.record(lat)
-        if tracing:
+        if tracer is not None:
             tracer.end("engine", "data_access", ts=now + lat)
         return lat
 
@@ -304,35 +305,32 @@ class SecureMemoryEngine(ABC):
         """Dirty LLC eviction: counter bump, MAC refresh, posted write."""
         stats = self.stats
         stats.writebacks_absorbed += 1
-        tracer = self.tracer
-        tracing = tracer.enabled
-        if tracing:
+        tracer, prof = self._hooks
+        if tracer is not None:
             tracer.cur_domain = domain
             tracer.instant("engine", "writeback", ts=now,
                            domain=domain, pfn=pfn)
-        prof = self.profiler
-        profiling = prof.enabled
-        if profiling:
+        if prof is not None:
             prof.push("verify")
         self._verify_path(domain, pfn, now, True)
-        if profiling:
+        if prof is not None:
             prof.pop()
             prof.push("mac")
         block = pfn * BLOCKS_PER_PAGE + block_in_page
         mac_addr = self._mac_base | (block >> 3)
         if self.mac_cache.lookup(mac_addr, True):
             stats.mac_hits += 1
-            if tracing:
+            if tracer is not None:
                 tracer.instant("mac", "hit", ts=now, addr=mac_addr)
         else:
             stats.mac_misses += 1
-            if tracing:
+            if tracer is not None:
                 tracer.instant("mac", "miss", ts=now, addr=mac_addr)
             self._read_meta(mac_addr, now)
             wb = self.mac_cache.fill_absent(mac_addr, True)
             if wb is not None:
                 self._write_meta(wb, now)
-        if profiling:
+        if prof is not None:
             prof.pop()
         self._write_data(block, now)
         writes = self._page_writes.get(pfn, 0) + 1
@@ -359,9 +357,10 @@ class SecureMemoryEngine(ABC):
         metadata writes on write-heavy workloads.
         """
         self.stats.page_reencrypts += 1
-        if self.tracer.enabled:
-            self.tracer.instant("page", "reencrypt", ts=now,
-                                domain=domain, pfn=pfn)
+        tracer, prof = self._hooks
+        if tracer is not None:
+            tracer.instant("page", "reencrypt", ts=now, domain=domain,
+                           pfn=pfn)
         for b in range(0, BLOCKS_PER_PAGE, 8):
             addr = self.data_addr(pfn, b)
             self._mread(addr, now)
@@ -369,12 +368,10 @@ class SecureMemoryEngine(ABC):
         # Counter write-back + dirty tree-path update (scheme-specific
         # walk: partition offsets, TreeLing slots, VAULT arities).
         self._mwrite(self._counter_addr(pfn), now)
-        prof = self.profiler
-        profiling = prof.enabled
-        if profiling:
+        if prof is not None:
             prof.push("verify")
         self._verify_path(domain, pfn, now, for_write=True)
-        if profiling:
+        if prof is not None:
             prof.pop()
 
     # -- page / domain lifecycle (overridden by IvLeague) ---------------------------------
@@ -429,25 +426,22 @@ class BaselineEngine(SecureMemoryEngine):
                                           paddrs)
         ctr_addr = rec[0]
         stats = self.stats
-        tracer = self.tracer
-        tracing = tracer.enabled
-        prof = self.profiler
-        profiling = prof.enabled
-        if profiling:
+        tracer, prof = self._hooks
+        if prof is not None:
             prof.push("counter_probe")
         ctr_hit = self.counter_cache.lookup(ctr_addr, for_write)
-        if profiling:
+        if prof is not None:
             prof.pop()
         if ctr_hit:
             stats.counter_hits += 1
-            if tracing:
+            if tracer is not None:
                 tracer.instant("tree", "counter_hit", ts=now, pfn=pfn)
             return self._ctr_hit_lat
         stats.counter_misses += 1
-        if tracing:
+        if tracer is not None:
             tracer.instant("tree", "counter_miss", ts=now, pfn=pfn)
         # path_addrs excludes the on-chip root, so every address on the
         # walk is a real candidate fetch.
         return self._walk(domain, ctr_addr, rec[1], now,
                           now + self._read_meta(ctr_addr, now), for_write,
-                          trace={} if tracing else None)
+                          trace=None if tracer is None else {})

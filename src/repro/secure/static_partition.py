@@ -106,16 +106,15 @@ class StaticPartitionEngine(SecureMemoryEngine):
                 self.sub_geo.counter_addr(pfn), paddrs)
         ctr_addr = rec[0]
         stats = self.stats
-        tracer = self.tracer
-        tracing = tracer.enabled
+        tracer = self._hooks[0]
         if self.counter_cache.lookup(ctr_addr, for_write):
             stats.counter_hits += 1
-            if tracing:
+            if tracer is not None:
                 tracer.instant("tree", "counter_hit", ts=now, pfn=pfn)
             return self._ctr_hit_lat
         stats.counter_misses += 1
         trace = None
-        if tracing:
+        if tracer is not None:
             trace = {"partition": self._partition_of[domain]}
             tracer.instant("tree", "counter_miss", ts=now, pfn=pfn, **trace)
         return self._walk(domain, ctr_addr, rec[1], now,

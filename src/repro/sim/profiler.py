@@ -10,12 +10,13 @@ an interpreter-second actually goes for any scheme.
 Two profilers share one protocol, mirroring the tracer design
 (:mod:`repro.sim.trace`):
 
-* :class:`NullProfiler` — the default.  ``enabled`` is a class
-  attribute ``False`` and every method is a no-op; hook sites guard
-  with ``if profiler.enabled:`` (or a hoisted local), so the off state
-  costs one attribute load and a branch.  The simulator core reads
-  the flag once per drain into a local, so its per-access cost is a
-  local-variable branch; the engine and DRAM paths check per call.
+* :class:`NullProfiler` — the default.  ``enabled`` is ``False`` and
+  every method is a no-op; hook sites guard with ``if
+  profiler.enabled:`` (or a hoisted local), so the off state costs one
+  attribute load and a branch.  The simulator core reads the flag once
+  per drain into a local, so its per-access cost is a local-variable
+  branch; the engine and DRAM paths read their ``_hooks`` pair
+  (:func:`repro.sim.trace.hook_pair`) once per call.
 * :class:`PhaseProfiler` — a stack-based *exclusive-time* profiler.
   ``push(phase)`` charges the elapsed interval to the phase currently
   on top of the stack and enters the new phase; ``pop()`` charges the
@@ -86,7 +87,10 @@ class NullProfiler:
     """
 
     enabled = False
-    __slots__ = ()
+
+    def __init__(self) -> None:
+        # Per instance for the same reason as ``NullTracer.enabled``.
+        self.enabled = False
 
     def push(self, phase: str) -> None:
         pass

@@ -81,6 +81,13 @@ class NullTracer:
     cur_domain = 0
     clock = 0.0
 
+    def __init__(self) -> None:
+        # Also per instance: CPython 3.11 specializes instance-attribute
+        # loads but not class-attribute loads through an instance, so
+        # this makes every disabled ``tracer.enabled`` guard ~2.5x
+        # cheaper.  The class attribute stays the documented default.
+        self.enabled = False
+
     def begin(self, cat, name, ts=None, **args) -> None:
         pass
 
@@ -97,6 +104,18 @@ class NullTracer:
 #: Shared default instance -- components point here until a real tracer
 #: is installed, so ``self.tracer`` is never ``None`` on a hot path.
 NULL_TRACER = NullTracer()
+
+
+def hook_pair(tracer, profiler) -> tuple:
+    """``(tracer, profiler)`` with each disabled one replaced by None.
+
+    Components keep this pair as ``_hooks`` (refreshed whenever a tracer
+    or profiler is installed), so a hot path reads one attribute per call
+    and guards each hook site with a local ``is not None`` test instead
+    of re-reading both ``enabled`` flags.
+    """
+    return (tracer if tracer.enabled else None,
+            profiler if profiler.enabled else None)
 
 
 class EventTracer:

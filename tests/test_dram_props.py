@@ -163,3 +163,27 @@ class TestRowHitClassification:
                 dram.write(addr, float(i))
         s = dram.stats
         assert s.row_hits + s.row_misses == s.reads + s.writes
+
+
+class TestControllerInlinesDevice:
+    def test_request_closures_match_dram_reference(self):
+        """The controller's request closures (the engine's and its own)
+        inline the open-row timing of ``DRAM.read``/``DRAM.write``; one
+        mixed stream through both must give identical latencies,
+        counters and bank state."""
+        cfg = DRAMConfig()
+        mc = MemoryController(cfg)
+        ref = DRAM(cfg)
+        rng = random.Random(8)
+        now = 0.0
+        for _ in range(2000):
+            addr = spaces.tag(rng.choice(ALL_SPACES), rng.randrange(512))
+            if rng.random() < 0.3:
+                mc.write(addr, now)
+                ref.write(addr, now)
+            else:
+                assert mc.read(addr, now) == ref.read(addr, now)
+            now += rng.random() * 4.0
+        assert mc.dram.stats == ref.stats
+        assert mc.dram._open_row == ref._open_row
+        assert mc.dram._busy_until == ref._busy_until
