@@ -84,8 +84,8 @@ class NullTracer:
     def __init__(self) -> None:
         # Also per instance: CPython 3.11 specializes instance-attribute
         # loads but not class-attribute loads through an instance, so
-        # this makes every disabled ``tracer.enabled`` guard ~2.5x
-        # cheaper.  The class attribute stays the documented default.
+        # this makes every disabled ``tracer.enabled`` guard several
+        # times cheaper.  The class attribute stays the default.
         self.enabled = False
 
     def begin(self, cat, name, ts=None, **args) -> None:
